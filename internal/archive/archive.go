@@ -25,6 +25,8 @@
 package archive
 
 import (
+	"crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -207,6 +209,7 @@ type Stats struct {
 type Store struct {
 	dir    string
 	opts   Options
+	boot   string // per-open nonce, the first part of every manifest tag
 	shards []*shard
 	cache  *fileCache
 	flight flightGroup
@@ -269,9 +272,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		// for embedded stores that never mount /metrics.
 		reg = telemetry.NewRegistry()
 	}
+	var nonce [8]byte
+	if _, err := rand.Read(nonce[:]); err != nil {
+		return nil, fmt.Errorf("archive: boot nonce: %w", err)
+	}
 	s := &Store{
 		dir:   dir,
 		opts:  opts,
+		boot:  hex.EncodeToString(nonce[:]),
 		cache: newFileCache(opts.CacheBytes),
 		reg:   reg,
 	}
@@ -456,7 +464,7 @@ func loadOrCreateManifest(dir string, shards int) (manifest, error) {
 // crash mid-write leaves either the old or the new manifest, never a
 // torn one.
 func writeManifest(dir string, m manifest) error {
-	data, err := json.MarshalIndent(m, "", "  ")
+	data, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}

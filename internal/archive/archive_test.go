@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -194,7 +195,16 @@ func TestReopenPreservesEverything(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	// Reopen with a different Shards option: the manifest must win.
+	// Reopen with a different Shards option: the manifest must win —
+	// also in the indented form stores wrote before it went compact.
+	path := filepath.Join(dir, manifestName)
+	var indented bytes.Buffer
+	if raw, err := os.ReadFile(path); err != nil || json.Indent(&indented, raw, "", "  ") != nil {
+		t.Fatalf("re-indenting %s: %v", path, err)
+	}
+	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s2 := openTest(t, dir, Options{Shards: 16})
 	defer s2.Close()
 	if st := s2.Stats(); st.Shards != 3 {

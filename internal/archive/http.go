@@ -30,7 +30,8 @@ import (
 //	GET  /stats                       store totals, cache, op counters
 //	GET  /repl/status                 per-shard generation + size (replication source state)
 //	GET  /repl/delta?cursor=&max=     next replication batch (segment frames)
-//	GET  /repl/manifest?files=        chunk-key metadata for federated merges
+//	GET  /repl/manifest               every file's chunk keys (EncodeManifest), ETag = Store.ManifestTag;
+//	                                  If-None-Match with the current tag answers an empty 304
 //	GET  /repl/file/{id}              one file's chunks in wire framing
 //
 // Times in query parameters are Go durations since simulation start
@@ -439,39 +440,19 @@ func (h *handler) replDelta(w http.ResponseWriter, r *http.Request) {
 	w.Write(frames)
 }
 
+// replManifest serves the federation coordinator's view of this
+// station. The tag travels as a strong ETag; a coordinator that already
+// holds the rows for the current tag gets a 304 from a tag-only read.
 func (h *handler) replManifest(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	from, err := ParseTime(q.Get("from"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "from: %v", err)
+	if match := r.Header.Get("If-None-Match"); match != "" && match == `"`+h.store.ManifestTag()+`"` {
+		w.Header().Set("ETag", match)
+		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	to, err := ParseTime(q.Get("to"))
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "to: %v", err)
-		return
-	}
-	var files map[flash.FileID]bool
-	if s := q.Get("files"); s != "" {
-		files = make(map[flash.FileID]bool)
-		for _, part := range strings.Split(s, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
-				continue
-			}
-			v, err := strconv.ParseUint(part, 10, 32)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "bad file id %q", part)
-				return
-			}
-			files[flash.FileID(v)] = true
-		}
-	}
-	ms := h.store.Manifest(from, to, nil, files)
-	if ms == nil {
-		ms = []FileManifest{}
-	}
-	WriteJSON(w, ms)
+	rows, tag := h.store.Manifest()
+	w.Header().Set("ETag", `"`+tag+`"`)
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(EncodeManifest(rows))
 }
 
 func (h *handler) replFile(w http.ResponseWriter, r *http.Request) {

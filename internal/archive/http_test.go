@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"enviromic/internal/erasure"
@@ -283,5 +284,49 @@ func TestHTTPMethodNotAllowed(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestHTTPReplManifestConditional drives /repl/manifest the way a
+// federation coordinator does: fetch once, then revalidate with the tag.
+func TestHTTPReplManifestConditional(t *testing.T) {
+	s, srv := newTestServer(t)
+	fetch := func(etag string) (*http.Response, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, srv.URL+"/repl/manifest", nil)
+		if etag != "" {
+			req.Header.Set("If-None-Match", etag)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET /repl/manifest: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp, body
+	}
+
+	resp, body := fetch("")
+	etag := resp.Header.Get("ETag")
+	if resp.StatusCode != http.StatusOK || etag != `"`+s.ManifestTag()+`"` {
+		t.Fatalf("first fetch: HTTP %d, ETag %q, store tag %q", resp.StatusCode, etag, s.ManifestTag())
+	}
+	rows, err := DecodeManifest(body)
+	want, _ := s.Manifest()
+	if err != nil || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("body does not decode to the store's manifest: %v", err)
+	}
+
+	if resp, body := fetch(etag); resp.StatusCode != http.StatusNotModified || len(body) != 0 || resp.Header.Get("ETag") != etag {
+		t.Fatalf("revalidation: HTTP %d, %d body bytes, ETag %q", resp.StatusCode, len(body), resp.Header.Get("ETag"))
+	}
+
+	mustIngest(t, s, []*flash.Chunk{mkChunk(9, 9, 0, 20, 21)})
+	resp, body = fetch(etag)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("ETag") == etag {
+		t.Fatalf("after ingest: HTTP %d, ETag %q (old %q)", resp.StatusCode, resp.Header.Get("ETag"), etag)
+	}
+	if rows, err := DecodeManifest(body); err != nil || len(rows) != len(want)+1 {
+		t.Fatalf("after ingest: %d files, %v; want %d", len(rows), err, len(want)+1)
 	}
 }

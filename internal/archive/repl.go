@@ -218,70 +218,145 @@ func (st ReplStatus) Lag(cur ReplCursor) int64 {
 // moving payload bytes. Bytes is the chunk's audio payload length, the
 // supersession tiebreak (longer copy wins).
 type ChunkKey struct {
-	Origin int32  `json:"origin"`
-	Seq    uint32 `json:"seq"`
-	Start  int64  `json:"start_ns"`
-	End    int64  `json:"end_ns"`
-	Bytes  int64  `json:"bytes"`
+	Origin int32
+	Seq    uint32
+	Start  int64
+	End    int64
+	Bytes  int64
 }
 
 // FileManifest is one file's chunk-key listing.
 type FileManifest struct {
-	ID     flash.FileID `json:"id"`
-	Chunks []ChunkKey   `json:"chunks"`
+	ID     flash.FileID
+	Chunks []ChunkKey
 }
 
-// Manifest lists chunk keys per file from index metadata alone (no
-// segment reads). A non-empty files set restricts to those IDs;
-// otherwise every file is listed. Files are sorted by ID, chunks by
-// (origin, seq). The from/to/origins filters mirror Query semantics:
-// a file whose span overlaps [from,to) (both zero = unbounded) and
-// whose origin set intersects origins (empty = any) is listed whole.
-func (s *Store) Manifest(from, to sim.Time, origins map[int32]bool, files map[flash.FileID]bool) []FileManifest {
+// Manifest lists every file's chunk keys from index metadata alone (no
+// segment reads) — files sorted by ID, chunks by (origin, seq) — together
+// with the tag that identifies exactly this listing: the store's
+// per-open boot nonce plus each shard's (generation, size). Every index
+// change appends a frame or bumps a generation, and group commit and
+// compaction publish index and size under one write lock, so reading a
+// shard's component under the same read lock that lists its rows makes
+// equal tags mean equal rows. The nonce keeps a reopened directory —
+// whose torn tail may have been truncated back to a size it had before —
+// from ever repeating a tag.
+func (s *Store) Manifest() ([]FileManifest, string) { return s.manifest(true) }
+
+// ManifestTag is the tag Manifest would return now, without listing a
+// row: what answers a conditional /repl/manifest request.
+func (s *Store) ManifestTag() string {
+	_, tag := s.manifest(false)
+	return tag
+}
+
+func (s *Store) manifest(rows bool) ([]FileManifest, string) {
 	var out []FileManifest
-	bounded := from != 0 || to != 0
-	for _, sh := range s.shards {
+	cur := make(ReplCursor, len(s.shards))
+	for i, sh := range s.shards {
 		sh.mu.RLock()
-		for id, fm := range sh.files {
-			if len(files) > 0 && !files[id] {
-				continue
+		cur[i] = ShardCursor{Gen: sh.gen, Off: sh.size}
+		if rows {
+			for id, fm := range sh.files {
+				m := FileManifest{ID: id, Chunks: make([]ChunkKey, 0, len(fm.chunks))}
+				for _, c := range fm.chunks {
+					m.Chunks = append(m.Chunks, ChunkKey{
+						Origin: c.origin, Seq: c.seq,
+						Start: int64(c.start), End: int64(c.end),
+						Bytes: c.payloadBytes(),
+					})
+				}
+				out = append(out, m)
 			}
-			if bounded && (fm.end <= from || (to != 0 && fm.start >= to)) {
-				continue
-			}
-			if len(origins) > 0 && !intersects(fm.origins, origins) {
-				continue
-			}
-			m := FileManifest{ID: id, Chunks: make([]ChunkKey, 0, len(fm.chunks))}
-			for _, c := range fm.chunks {
-				m.Chunks = append(m.Chunks, ChunkKey{
-					Origin: c.origin, Seq: c.seq,
-					Start: int64(c.start), End: int64(c.end),
-					Bytes: c.payloadBytes(),
-				})
-			}
-			out = append(out, m)
 		}
 		sh.mu.RUnlock()
 	}
 	for _, m := range out {
-		sortChunkKeys(m.Chunks)
+		sort.Slice(m.Chunks, func(i, j int) bool { return m.Chunks[i].Less(m.Chunks[j]) })
 	}
-	sortManifests(out)
-	return out
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	return out, s.boot + "-" + cur.String()
 }
 
-func sortChunkKeys(cs []ChunkKey) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Origin != cs[j].Origin {
-			return cs[i].Origin < cs[j].Origin
+// Less orders chunk keys by (origin, seq), the manifest order.
+func (c ChunkKey) Less(o ChunkKey) bool {
+	if c.Origin != o.Origin {
+		return c.Origin < o.Origin
+	}
+	return c.Seq < o.Seq
+}
+
+// The /repl/manifest body: per file `id u32, n u32`, then n records of
+// `origin i32, seq u32, start i64, end i64, bytes u32`, little-endian,
+// nothing between files and nothing after the last.
+const (
+	manifestFileHeader = 8
+	manifestChunkSize  = 28
+)
+
+// EncodeManifest renders a Manifest listing in the /repl/manifest wire
+// form.
+func EncodeManifest(ms []FileManifest) []byte {
+	n := 0
+	for _, m := range ms {
+		n += manifestFileHeader + manifestChunkSize*len(m.Chunks)
+	}
+	b := make([]byte, 0, n)
+	le := binary.LittleEndian
+	for _, m := range ms {
+		b = le.AppendUint32(b, uint32(m.ID))
+		b = le.AppendUint32(b, uint32(len(m.Chunks)))
+		for _, c := range m.Chunks {
+			b = le.AppendUint32(b, uint32(c.Origin))
+			b = le.AppendUint32(b, c.Seq)
+			b = le.AppendUint64(b, uint64(c.Start))
+			b = le.AppendUint64(b, uint64(c.End))
+			b = le.AppendUint32(b, uint32(c.Bytes))
 		}
-		return cs[i].Seq < cs[j].Seq
-	})
+	}
+	return b
 }
 
-func sortManifests(ms []FileManifest) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].ID < ms[j].ID })
+// DecodeManifest parses a /repl/manifest body. The body comes from
+// another station, so every length is checked against what is left, and
+// the shape Manifest promises — no file without chunks, file IDs
+// strictly ascending, chunks strictly ascending by (origin, seq) within
+// a file — is enforced, since the coordinator's merge walks the listings
+// in step. All chunk keys share one backing array.
+func DecodeManifest(b []byte) ([]FileManifest, error) {
+	var ms []FileManifest
+	keys := make([]ChunkKey, 0, len(b)/manifestChunkSize)
+	le := binary.LittleEndian
+	for off := 0; off < len(b); {
+		if len(b)-off < manifestFileHeader {
+			return nil, fmt.Errorf("archive: manifest: %d stray bytes at %d", len(b)-off, off)
+		}
+		id, n := flash.FileID(le.Uint32(b[off:])), int(le.Uint32(b[off+4:]))
+		off += manifestFileHeader
+		if n == 0 || n > (len(b)-off)/manifestChunkSize {
+			return nil, fmt.Errorf("archive: manifest: file %d declares %d chunks, %d bytes left", id, n, len(b)-off)
+		}
+		if len(ms) > 0 && id <= ms[len(ms)-1].ID {
+			return nil, fmt.Errorf("archive: manifest: file %d out of order", id)
+		}
+		first := len(keys)
+		for i := 0; i < n; i++ {
+			c := ChunkKey{
+				Origin: int32(le.Uint32(b[off:])),
+				Seq:    le.Uint32(b[off+4:]),
+				Start:  int64(le.Uint64(b[off+8:])),
+				End:    int64(le.Uint64(b[off+16:])),
+				Bytes:  int64(le.Uint32(b[off+24:])),
+			}
+			off += manifestChunkSize
+			if i > 0 && !keys[len(keys)-1].Less(c) {
+				return nil, fmt.Errorf("archive: manifest: file %d chunk (%d, %d) out of order", id, c.Origin, c.Seq)
+			}
+			keys = append(keys, c)
+		}
+		ms = append(ms, FileManifest{ID: id, Chunks: keys[first:len(keys):len(keys)]})
+	}
+	return ms, nil
 }
 
 // GapsInSpans computes coverage gaps over a merged set of chunk keys at

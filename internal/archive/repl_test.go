@@ -2,6 +2,7 @@ package archive
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"testing"
 	"time"
@@ -43,8 +44,8 @@ func pullAll(t *testing.T, src, dst *Store, cur ReplCursor, maxBytes int64) (Rep
 // chunk manifests.
 func assertSameHoldings(t *testing.T, a, b *Store) {
 	t.Helper()
-	am := a.Manifest(0, 0, nil, nil)
-	bm := b.Manifest(0, 0, nil, nil)
+	am, _ := a.Manifest()
+	bm, _ := b.Manifest()
 	if !reflect.DeepEqual(am, bm) {
 		t.Fatalf("holdings differ:\n a=%+v\n b=%+v", am, bm)
 	}
@@ -178,36 +179,109 @@ func TestReplCursorStringRoundtrip(t *testing.T) {
 	}
 }
 
-func TestManifestFilters(t *testing.T) {
-	s := openTest(t, t.TempDir(), Options{Shards: 2})
-	defer s.Close()
-	mustIngest(t, s, []*flash.Chunk{
-		mkChunk(1, 10, 0, 0, 1),
+// TestManifestTag pins the property the federated read plane rests on:
+// the tag moves exactly when the listing does, and never repeats across
+// opens of one directory.
+func TestManifestTag(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Shards: 2})
+	batch := []*flash.Chunk{
 		mkChunk(1, 10, 1, 1, 2),
+		mkChunk(1, 10, 0, 0, 1),
 		mkChunk(2, 20, 0, 5, 6),
 		mkChunk(3, 30, 0, 50, 51),
+	}
+	mustIngest(t, s, batch)
+
+	rows, tag := s.Manifest()
+	if len(rows) != 3 || rows[0].ID != 1 || len(rows[0].Chunks) != 2 || rows[0].Chunks[0].Seq != 0 || rows[2].ID != 3 {
+		t.Fatalf("manifest not sorted by (file, origin, seq): %+v", rows)
+	}
+	if got := s.ManifestTag(); got != tag {
+		t.Fatalf("ManifestTag = %q, Manifest's = %q", got, tag)
+	}
+
+	// A duplicate tour changes nothing, tag included.
+	mustIngest(t, s, batch)
+	if got := s.ManifestTag(); got != tag {
+		t.Fatalf("duplicate ingest moved the tag: %q -> %q", tag, got)
+	}
+
+	// A new chunk, a superseding copy and a compaction each move it.
+	seen := map[string]bool{tag: true}
+	step := func(what string) {
+		t.Helper()
+		rows, tag := s.Manifest()
+		if seen[tag] {
+			t.Fatalf("%s: tag %q repeats", what, tag)
+		}
+		seen[tag] = true
+		if got, err := DecodeManifest(EncodeManifest(rows)); err != nil || !reflect.DeepEqual(got, rows) {
+			t.Fatalf("%s: manifest does not survive the wire: %v", what, err)
+		}
+	}
+	mustIngest(t, s, []*flash.Chunk{mkChunk(2, 20, 1, 6, 7)})
+	step("new chunk")
+	long := mkChunk(1, 10, 0, 0, 1)
+	long.Data = append(long.Data, make([]byte, 32)...)
+	mustIngest(t, s, []*flash.Chunk{long})
+	step("superseding copy")
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	step("compaction")
+
+	// The same directory reopened holds the same rows under a new tag.
+	before, _ := s.Manifest()
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s = openTest(t, dir, Options{})
+	defer s.Close()
+	after, _ := s.Manifest()
+	if !reflect.DeepEqual(after, before) {
+		t.Fatalf("rows changed across reopen")
+	}
+	step("reopen")
+}
+
+// TestDecodeManifestRejects feeds DecodeManifest the malformed bodies a
+// broken or hostile peer could send.
+func TestDecodeManifestRejects(t *testing.T) {
+	good := EncodeManifest([]FileManifest{
+		{ID: 1, Chunks: []ChunkKey{{Origin: 1, Seq: 0, Start: 0, End: 1, Bytes: 4}, {Origin: 1, Seq: 1, Start: 1, End: 2, Bytes: 4}}},
+		{ID: 2, Chunks: []ChunkKey{{Origin: -3, Seq: 9, Start: 5, End: 6, Bytes: 200}}},
 	})
-
-	all := s.Manifest(0, 0, nil, nil)
-	if len(all) != 3 || all[0].ID != 1 || len(all[0].Chunks) != 2 {
-		t.Fatalf("full manifest wrong: %+v", all)
+	if ms, err := DecodeManifest(good); err != nil || len(ms) != 2 || ms[1].Chunks[0].Origin != -3 {
+		t.Fatalf("good manifest refused: %+v, %v", ms, err)
 	}
-
-	only2 := s.Manifest(0, 0, nil, map[flash.FileID]bool{2: true})
-	if len(only2) != 1 || only2[0].ID != 2 {
-		t.Fatalf("files filter wrong: %+v", only2)
+	if ms, err := DecodeManifest(nil); err != nil || len(ms) != 0 {
+		t.Fatalf("empty manifest = %+v, %v", ms, err)
 	}
-
-	// Window [4s, 10s) should keep only file 2.
-	win := s.Manifest(4e9, 10e9, nil, nil)
-	if len(win) != 1 || win[0].ID != 2 {
-		t.Fatalf("window filter wrong: %+v", win)
-	}
-
-	// Origin filter.
-	byOrigin := s.Manifest(0, 0, map[int32]bool{30: true}, nil)
-	if len(byOrigin) != 1 || byOrigin[0].ID != 3 {
-		t.Fatalf("origin filter wrong: %+v", byOrigin)
+	mutate := func(f func(b []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
+	for name, bad := range map[string][]byte{
+		"truncated chunk":  good[:len(good)-1],
+		"truncated header": good[:len(good)-manifestChunkSize-3],
+		"stray tail":       append(append([]byte(nil), good...), 0),
+		"empty file": mutate(func(b []byte) []byte {
+			return append(b, 9, 0, 0, 0, 0, 0, 0, 0)
+		}),
+		"huge count": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:], 0xffffffff)
+			return b
+		}),
+		"files out of order": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[0:], 2)
+			return b
+		}),
+		"chunks out of order": mutate(func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[manifestFileHeader+manifestChunkSize+4:], 0) // second seq = first
+			return b
+		}),
+	} {
+		if ms, err := DecodeManifest(bad); err == nil {
+			t.Errorf("%s accepted: %+v", name, ms)
+		}
 	}
 }
 
@@ -225,7 +299,7 @@ func TestGapsInSpansMatchesStoreGaps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Gaps: %v", err)
 	}
-	m := s.Manifest(0, 0, nil, map[flash.FileID]bool{1: true})
+	m, _ := s.Manifest()
 	got := GapsInSpans(m[0].Chunks, tol)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("GapsInSpans = %v, want %v", got, want)

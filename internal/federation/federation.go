@@ -16,14 +16,18 @@
 //     how many stations hold each stripe.
 //
 //   - Federated query fan-out (coordinator.go): /query, /files, /gaps,
-//     and /wav fan out to every healthy peer in parallel, merge the
-//     chunk-key manifests with keep-longest (origin, seq) dedup — the
-//     exact supersession rule the archive applies on ingest — and
-//     answer with the same JSON a single fully-replicated station
-//     would. Peers that fail or time out degrade the answer to the
-//     surviving holdings, marked by the X-Federation-Partial header.
-//     Erasure groups whose k surviving fragments are scattered across
-//     stations decode during /wav via retrieval.ReassembleErasure.
+//     and /wav ask every healthy peer in parallel whether its chunk-key
+//     manifest changed since it was last fetched (a tag-validated
+//     conditional request), merge the manifests with keep-longest
+//     (origin, seq) dedup — the exact supersession rule the archive
+//     applies on ingest — into one view kept until some station's tag
+//     moves, and answer from it with the same JSON a single
+//     fully-replicated station would. Peers that fail or time out
+//     degrade the answer to the surviving holdings, marked by the
+//     X-Federation-Partial header. /wav moves payload only from the
+//     peers holding a copy the local store lacks; erasure groups whose
+//     k surviving fragments are scattered across stations decode there
+//     via retrieval.ReassembleErasure.
 //
 // A station trusts its own store plus whatever /repl endpoints say;
 // there is no consensus, no leader, and no write forwarding — ingest
@@ -158,6 +162,18 @@ type Station struct {
 	cPeerErrs *telemetry.Counter
 	hFanout   map[string]*telemetry.Histogram // keyed by endpoint pattern
 
+	cManifestUnchanged *telemetry.Counter
+	cManifestFetched   *telemetry.Counter
+	cManifestErrors    *telemetry.Counter
+	cManifestBytes     *telemetry.Counter
+	cViewRebuilds      *telemetry.Counter
+
+	// merged is the last merged view; viewMu is held across a rebuild, so
+	// readers arriving with the same key wait for it instead of repeating
+	// it.
+	viewMu sync.Mutex
+	merged *view
+
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -205,6 +221,18 @@ func New(store *archive.Store, cfg Config) (*Station, error) {
 			"Wall time of one federated fan-out round (all peers, in parallel).",
 			telemetry.DurationBuckets(), telemetry.L("endpoint", ep))
 	}
+
+	manifestRequests := func(result string) *telemetry.Counter {
+		return reg.Counter("enviromic_federation_manifest_requests_total",
+			"Conditional peer-manifest requests, by result.", telemetry.L("result", result))
+	}
+	st.cManifestUnchanged = manifestRequests("unchanged")
+	st.cManifestFetched = manifestRequests("fetched")
+	st.cManifestErrors = manifestRequests("error")
+	st.cManifestBytes = reg.Counter("enviromic_federation_manifest_bytes_total",
+		"Peer-manifest body bytes fetched.")
+	st.cViewRebuilds = reg.Counter("enviromic_federation_view_rebuilds_total",
+		"Merges of the local and peer manifests into a new federated view.")
 
 	repl, err := newReplicator(st)
 	if err != nil {

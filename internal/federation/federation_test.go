@@ -1,13 +1,17 @@
 package federation
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,17 +26,52 @@ import (
 // real Station, served over a real HTTP listener.
 type testStation struct {
 	name    string
+	dir     string
+	cfg     Config
 	store   *archive.Store
 	st      *Station
 	srv     *httptest.Server
 	handler atomic.Value // http.Handler, bound after New
+	// fileReqs counts the GET /repl/file/{id} requests this station
+	// received: the payload other stations asked it for.
+	fileReqs atomic.Int64
 }
+
+// boot opens the station's archive directory and binds a fresh Station
+// to the listener; calling it again after shutdown is a process restart
+// on the same directory.
+func (ts *testStation) boot(t testing.TB) {
+	t.Helper()
+	store, err := archive.Open(ts.dir, archive.Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	st, err := New(store, ts.cfg)
+	if err != nil {
+		t.Fatalf("New(%s): %v", ts.name, err)
+	}
+	ts.store, ts.st = store, st
+	ts.handler.Store(st.Handler())
+}
+
+func (ts *testStation) shutdown() {
+	ts.st.Close()
+	ts.store.Close()
+}
+
+// downHandler is a dead process as its peers see it: every connection
+// is dropped without an answer.
+var downHandler http.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	if conn, _, err := w.(http.Hijacker).Hijack(); err == nil {
+		conn.Close()
+	}
+})
 
 // newCluster boots n stations that all know each other. Listeners come
 // up first so every station's peer list carries real URLs; handlers are
 // bound after construction. Background loops are NOT started — tests
 // drive ProbeOnce/ReplicateOnce synchronously.
-func newCluster(t *testing.T, n, factor int) []*testStation {
+func newCluster(t testing.TB, n, factor int) []*testStation {
 	t.Helper()
 	stations := make([]*testStation, n)
 	for i := range stations {
@@ -43,38 +82,30 @@ func newCluster(t *testing.T, n, factor int) []*testStation {
 				http.Error(w, "starting", http.StatusServiceUnavailable)
 				return
 			}
+			if strings.HasPrefix(r.URL.Path, "/repl/file/") {
+				ts.fileReqs.Add(1)
+			}
 			h.ServeHTTP(w, r)
 		}))
 		stations[i] = ts
 	}
 	for i, ts := range stations {
-		store, err := archive.Open(filepath.Join(t.TempDir(), "arch"), archive.Options{Shards: 2})
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		ts.store = store
-		var peers []Peer
-		for j, o := range stations {
-			if j != i {
-				peers = append(peers, Peer{Name: o.name, URL: o.srv.URL})
-			}
-		}
-		st, err := New(store, Config{
+		ts.dir = filepath.Join(t.TempDir(), "arch")
+		ts.cfg = Config{
 			Self:              ts.name,
-			Peers:             peers,
 			ReplicationFactor: factor,
 			CursorPath:        filepath.Join(t.TempDir(), "cursors.json"),
-		})
-		if err != nil {
-			t.Fatalf("New(%s): %v", ts.name, err)
 		}
-		ts.st = st
-		ts.handler.Store(st.Handler())
+		for j, o := range stations {
+			if j != i {
+				ts.cfg.Peers = append(ts.cfg.Peers, Peer{Name: o.name, URL: o.srv.URL})
+			}
+		}
+		ts.boot(t)
 	}
 	t.Cleanup(func() {
 		for _, ts := range stations {
-			ts.st.Close()
-			ts.store.Close()
+			ts.shutdown()
 			ts.srv.Close()
 		}
 	})
@@ -83,7 +114,14 @@ func newCluster(t *testing.T, n, factor int) []*testStation {
 
 // refServer builds a single-station reference: one archive holding the
 // union of chunks, served by the plain archive handler.
-func refServer(t *testing.T, chunks []*flash.Chunk) *httptest.Server {
+func refServer(t testing.TB, chunks []*flash.Chunk) *httptest.Server {
+	srv, _ := refStation(t, chunks)
+	return srv
+}
+
+// refStation is refServer plus the store behind it, for tests that keep
+// ingesting into the reference.
+func refStation(t testing.TB, chunks []*flash.Chunk) (*httptest.Server, *archive.Store) {
 	t.Helper()
 	store, err := archive.Open(filepath.Join(t.TempDir(), "ref"), archive.Options{Shards: 2})
 	if err != nil {
@@ -94,10 +132,10 @@ func refServer(t *testing.T, chunks []*flash.Chunk) *httptest.Server {
 	}
 	srv := httptest.NewServer(archive.NewHandler(store))
 	t.Cleanup(func() { srv.Close(); store.Close() })
-	return srv
+	return srv, store
 }
 
-func get(t *testing.T, url string) (int, http.Header, []byte) {
+func get(t testing.TB, url string) (int, http.Header, []byte) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -113,7 +151,7 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 
 // assertSameResponse fails unless both URLs answer 200 with identical
 // bodies.
-func assertSameResponse(t *testing.T, fedURL, refURL, label string) {
+func assertSameResponse(t testing.TB, fedURL, refURL, label string) {
 	t.Helper()
 	fs, _, fb := get(t, fedURL)
 	rs, _, rb := get(t, refURL)
@@ -138,7 +176,7 @@ func mkChunk(file flash.FileID, origin int32, seq uint32, startSec, endSec float
 	}
 }
 
-func mustIngest(t *testing.T, s *archive.Store, chunks []*flash.Chunk) {
+func mustIngest(t testing.TB, s *archive.Store, chunks []*flash.Chunk) {
 	t.Helper()
 	if _, err := s.Ingest(chunks); err != nil {
 		t.Fatalf("Ingest: %v", err)
@@ -208,8 +246,14 @@ func TestSameChunkAtThreeStations(t *testing.T) {
 	mustIngest(t, cl[2].store, []*flash.Chunk{short2})
 	ref := refServer(t, []*flash.Chunk{short1, long, short2})
 
+	asked := payloadAsked(cl)
 	for _, path := range []string{"/files", "/files/2", "/files/2/wav", "/query"} {
 		assertSameResponse(t, cl[0].srv.URL+path, ref.URL+path, path)
+	}
+	// s0 and s2 hold only shorter copies: the one /wav via s0 moved
+	// payload from s1, the holder of the winning copy, and no one else.
+	if got := asked(); got != [3]int64{0, 1, 0} {
+		t.Fatalf("/wav via s0 asked (s0, s1, s2) for payload %v times, want [0 1 0]", got)
 	}
 	// And explicitly: one chunk, the long copy's byte count.
 	status, _, body := get(t, cl[2].srv.URL+"/files/2")
@@ -278,6 +322,41 @@ func TestErasureFragmentsSplitAcrossPeers(t *testing.T) {
 	for _, ts := range cl {
 		assertSameResponse(t, ts.srv.URL+"/files/5/wav", ref.URL+"/files/5/wav", "erasure wav via "+ts.name)
 	}
+
+	// Payload moves only from the stations that hold what the reader
+	// lacks: s0 misses both parity fragments, so it asks s1 and s2 for
+	// the parity sibling — once each, and nobody for file 5 itself, of
+	// which it holds the only chunk anyone has.
+	asked := payloadAsked(cl)
+	assertSameResponse(t, cl[0].srv.URL+"/files/5/wav", ref.URL+"/files/5/wav", "erasure wav via s0 again")
+	if got := asked(); got != [3]int64{0, 1, 1} {
+		t.Fatalf("/wav via s0 asked (s0, s1, s2) for payload %v times, want [0 1 1]", got)
+	}
+	// Once s0 has replicated everything it holds every longest copy and
+	// asks no one.
+	if err := cl[0].st.ReplicateOnce(context.Background()); err != nil {
+		t.Fatalf("ReplicateOnce: %v", err)
+	}
+	asked = payloadAsked(cl)
+	assertSameResponse(t, cl[0].srv.URL+"/files/5/wav", ref.URL+"/files/5/wav", "erasure wav via s0, replicated")
+	if got := asked(); got != [3]int64{} {
+		t.Fatalf("/wav via a station holding every longest copy asked for payload: %v", got)
+	}
+}
+
+// payloadAsked returns a function reporting how many GET /repl/file
+// requests each of three stations received since this call.
+func payloadAsked(cl []*testStation) func() [3]int64 {
+	var base [3]int64
+	for i := range base {
+		base[i] = cl[i].fileReqs.Load()
+	}
+	return func() (d [3]int64) {
+		for i := range d {
+			d[i] = cl[i].fileReqs.Load() - base[i]
+		}
+		return d
+	}
 }
 
 // TestReplicationConvergence ingests a different file at every station,
@@ -299,12 +378,12 @@ func TestReplicationConvergence(t *testing.T) {
 			t.Fatalf("ReplicateOnce(%s): %v", ts.name, err)
 		}
 	}
-	want := cl[0].store.Manifest(0, 0, nil, nil)
+	want, _ := cl[0].store.Manifest()
 	if len(want) != 3 {
 		t.Fatalf("s0 has %d files after replication, want 3", len(want))
 	}
 	for _, ts := range cl[1:] {
-		if got := ts.store.Manifest(0, 0, nil, nil); !reflect.DeepEqual(got, want) {
+		if got, _ := ts.store.Manifest(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s holdings diverge after replication", ts.name)
 		}
 	}
@@ -316,7 +395,7 @@ func TestReplicationConvergence(t *testing.T) {
 		if err := ts.st.ReplicateOnce(ctx); err != nil {
 			t.Fatalf("ReplicateOnce(%s): %v", ts.name, err)
 		}
-		if got := ts.store.Manifest(0, 0, nil, nil); len(got) != 4 {
+		if got, _ := ts.store.Manifest(); len(got) != 4 {
 			t.Fatalf("%s has %d files after catch-up, want 4", ts.name, len(got))
 		}
 	}
@@ -469,6 +548,16 @@ func TestCursorPersistence(t *testing.T) {
 	}
 	st.Close()
 	dstStore.Close()
+
+	// The cursor store is written compact; the indented form earlier
+	// versions left on disk must load just the same.
+	var indented bytes.Buffer
+	if raw, err := os.ReadFile(cursorPath); err != nil || json.Indent(&indented, raw, "", "  ") != nil {
+		t.Fatalf("re-indenting %s: %v", cursorPath, err)
+	}
+	if err := os.WriteFile(cursorPath, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	dstStore2, err := archive.Open(filepath.Join(dstDir, "dst"), archive.Options{Shards: 1})
 	if err != nil {

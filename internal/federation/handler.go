@@ -79,12 +79,11 @@ func pathFileID(r *http.Request) (flash.FileID, error) {
 }
 
 func (st *Station) fedFiles(w http.ResponseWriter, r *http.Request) {
-	merged, failed := st.mergedManifest(r.Context(), "/files", nil)
-	infos := make([]archive.FileInfoJSON, 0, len(merged))
-	for id, chunks := range merged {
-		infos = append(infos, archive.InfoJSON(st.infoFor(id, chunks)))
+	v, failed := st.view(r.Context(), "/files")
+	infos := make([]archive.FileInfoJSON, 0, len(v.files))
+	for i := range v.files {
+		infos = append(infos, archive.InfoJSON(v.files[i].info))
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 	st.markPartial(w, failed)
 	archive.WriteJSON(w, infos)
 }
@@ -117,15 +116,15 @@ func (st *Station) fedQuery(w http.ResponseWriter, r *http.Request) {
 			origins[int32(v)] = true
 		}
 	}
-	// Merge the full manifests, then filter on the MERGED spans: a file
-	// whose pieces individually miss the window can still overlap it
-	// once the stations' holdings are combined, and only the merged
-	// view matches what a fully-replicated station would answer.
-	merged, failed := st.mergedManifest(r.Context(), "/query", nil)
+	// Filter on the MERGED spans: a file whose pieces individually miss
+	// the window can still overlap it once the stations' holdings are
+	// combined, and only the merged view matches what a fully-replicated
+	// station would answer.
+	v, failed := st.view(r.Context(), "/query")
 	bounded := from != 0 || to != 0
-	infos := make([]archive.FileInfoJSON, 0, len(merged))
-	for id, chunks := range merged {
-		fi := st.infoFor(id, chunks)
+	infos := []archive.FileInfoJSON{}
+	for _, i := range v.byStart {
+		fi := v.files[i].info
 		if bounded && (fi.End <= from || (to != 0 && fi.Start >= to)) {
 			continue
 		}
@@ -134,12 +133,6 @@ func (st *Station) fedQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		infos = append(infos, archive.InfoJSON(fi))
 	}
-	sort.Slice(infos, func(i, j int) bool {
-		if infos[i].Start != infos[j].Start {
-			return infos[i].Start < infos[j].Start
-		}
-		return infos[i].ID < infos[j].ID
-	})
 	st.markPartial(w, failed)
 	archive.WriteJSON(w, infos)
 }
@@ -159,15 +152,16 @@ func (st *Station) fedFile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	merged, failed := st.mergedManifest(r.Context(), "/files/{id}", map[flash.FileID]bool{id: true})
-	chunks := merged[id]
-	if len(chunks) == 0 {
+	v, failed := st.view(r.Context(), "/files/{id}")
+	fv := v.file(id)
+	if fv == nil {
 		st.markPartial(w, failed)
 		httpError(w, http.StatusNotFound, "file %d not found", id)
 		return
 	}
 	// chunk_list is span-ordered like a reassembled file, not
-	// manifest-ordered.
+	// manifest-ordered; the view's slice is shared, so sort a copy.
+	chunks := append([]archive.ChunkKey(nil), fv.chunks...)
 	sort.Slice(chunks, func(i, j int) bool {
 		a, b := chunks[i], chunks[j]
 		if a.Start != b.Start {
@@ -193,7 +187,7 @@ func (st *Station) fedFile(w http.ResponseWriter, r *http.Request) {
 			Bytes: int(c.Bytes),
 		})
 	}
-	fi := st.infoFor(id, chunks)
+	fi := fv.info
 	st.markPartial(w, failed)
 	archive.WriteJSON(w, struct {
 		archive.FileInfoJSON
@@ -217,14 +211,14 @@ func (st *Station) fedGaps(w http.ResponseWriter, r *http.Request) {
 		}
 		tolerance = d
 	}
-	merged, failed := st.mergedManifest(r.Context(), "/files/{id}/gaps", map[flash.FileID]bool{id: true})
-	chunks := merged[id]
-	if len(chunks) == 0 {
+	v, failed := st.view(r.Context(), "/files/{id}/gaps")
+	fv := v.file(id)
+	if fv == nil {
 		st.markPartial(w, failed)
 		httpError(w, http.StatusNotFound, "file %d not found", id)
 		return
 	}
-	gaps := archive.GapsInSpans(chunks, tolerance)
+	gaps := archive.GapsInSpans(fv.chunks, tolerance)
 	type gapJSON struct {
 		StartSec float64 `json:"start_s"`
 		EndSec   float64 `json:"end_s"`
@@ -266,9 +260,10 @@ func (st *Station) fedWav(w http.ResponseWriter, r *http.Request) {
 		}
 		rate = v
 	}
-	// Pool the file AND its parity sibling from every station, then
-	// erasure-decode over the merged holdings: k surviving fragments
-	// reconstruct a group even when no single station holds k of them.
+	// Pool the file AND its parity sibling from every station that holds
+	// a copy the local store lacks, then erasure-decode over the merged
+	// holdings: k surviving fragments reconstruct a group even when no
+	// single station holds k of them.
 	ids := []flash.FileID{id}
 	if id&erasure.ParityFileBit == 0 {
 		ids = append(ids, id|erasure.ParityFileBit)
@@ -315,20 +310,31 @@ func (st *Station) fedStatus(w http.ResponseWriter, r *http.Request) {
 		LagBytes int64  `json:"lag_bytes"`
 		Cursor   string `json:"cursor"`
 		LastErr  string `json:"last_error,omitempty"`
+		// The peer's manifest as the read plane last fetched it.
+		ManifestTag    string `json:"manifest_tag"`
+		ManifestChunks int    `json:"manifest_chunks"`
 	}
 	peers := make([]peerJSON, 0, len(st.peers))
 	for _, p := range st.peers {
 		p.mu.Lock()
 		lastErr := p.lastErr
 		state := p.lastState
+		etag, rows := p.etag, p.rows
 		p.mu.Unlock()
 		cur := st.repl.cursor(p.Name)
+		chunks := 0
+		for _, m := range rows {
+			chunks += len(m.Chunks)
+		}
 		peers = append(peers, peerJSON{
 			Name: p.Name, URL: p.URL,
 			Healthy:  p.healthy.Load(),
 			LagBytes: state.Lag(cur),
 			Cursor:   cur.String(),
 			LastErr:  lastErr,
+
+			ManifestTag:    strings.Trim(etag, `"`),
+			ManifestChunks: chunks,
 		})
 	}
 	archive.WriteJSON(w, struct {

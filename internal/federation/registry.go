@@ -30,6 +30,10 @@ type peerState struct {
 	mu        sync.Mutex
 	lastErr   string
 	lastState archive.ReplStatus
+	// etag and rows are the peer's manifest as last fetched: the tag the
+	// next conditional request carries and the rows a 304 stands for.
+	etag string
+	rows []archive.FileManifest
 }
 
 func newPeerState(p Peer, reg *telemetry.Registry) *peerState {

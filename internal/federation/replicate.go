@@ -136,7 +136,7 @@ func (r *replicator) save() {
 		cf.Cursors[peer] = cur.String()
 	}
 	r.mu.Unlock()
-	data, err := json.MarshalIndent(cf, "", "  ")
+	data, err := json.Marshal(cf)
 	if err != nil {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"enviromic/internal/archive"
+	"enviromic/internal/erasure"
 	"enviromic/internal/flash"
 )
 
@@ -24,6 +25,9 @@ type archiveSink struct {
 	store  *archive.Store
 	urls   []string
 	client *http.Client
+	// bodyChunks is how many chunks one POST /ingest body may carry and
+	// stay under the station's bound whatever their payloads.
+	bodyChunks int
 }
 
 // isStationSpec reports whether an -archive value names HTTP stations
@@ -41,7 +45,10 @@ func openSink(spec string, tol time.Duration) (*archiveSink, error) {
 		}
 		return &archiveSink{dir: spec, store: store}, nil
 	}
-	s := &archiveSink{client: &http.Client{Timeout: 30 * time.Second}}
+	s := &archiveSink{
+		client:     &http.Client{Timeout: 30 * time.Second},
+		bodyChunks: archive.MaxIngestBytes / archive.MaxFrameBytes,
+	}
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -85,8 +92,47 @@ type flushFileDelta struct {
 	GapsAfter  int          `json:"gaps_after"`
 }
 
+// add folds the report of a tour's next body into r: counts add up, a
+// file both bodies touched keeps the first's "before" and takes the
+// second's "after", and the second body's word on whether such a file
+// still needs a re-query replaces the first's.
+func (r *flushReport) add(next flushReport) {
+	r.Added += next.Added
+	r.Duplicates += next.Duplicates
+	r.Superseded += next.Superseded
+	at := make(map[flash.FileID]int, len(r.Files))
+	for i, d := range r.Files {
+		at[d.File] = i
+	}
+	retouched := make(map[flash.FileID]bool, len(next.Files))
+	for _, d := range next.Files {
+		retouched[d.File] = true
+		i, seen := at[d.File]
+		if !seen {
+			r.Files = append(r.Files, d)
+			continue
+		}
+		have := &r.Files[i]
+		have.Added += d.Added
+		have.Duplicates += d.Duplicates
+		have.Superseded += d.Superseded
+		have.GapsAfter = d.GapsAfter
+	}
+	sort.Slice(r.Files, func(i, j int) bool { return r.Files[i].File < r.Files[j].File })
+	requery := next.Requery
+	for _, id := range r.Requery {
+		if !retouched[id&^erasure.ParityFileBit] {
+			requery = append(requery, id)
+		}
+	}
+	sort.Slice(requery, func(i, j int) bool { return requery[i] < requery[j] })
+	r.Requery = requery
+}
+
 // flush ingests one tour's chunks: locally, or POSTed to tour's
-// round-robin station as the same segment frames /ingest always took.
+// round-robin station as the same segment frames /ingest always took —
+// cut at frame boundaries into as many bodies as the station's bound on
+// one body needs, the reports summed.
 func (s *archiveSink) flush(tour int, chunks []*flash.Chunk) (flushReport, error) {
 	if s.store != nil {
 		rep, err := s.store.Ingest(chunks)
@@ -106,19 +152,41 @@ func (s *archiveSink) flush(tour int, chunks []*flash.Chunk) (flushReport, error
 		sort.Slice(out.Requery, func(i, j int) bool { return out.Requery[i] < out.Requery[j] })
 		return out, nil
 	}
+	url := s.target(tour) + "/ingest"
+	var total flushReport
+	for {
+		n := min(len(chunks), s.bodyChunks)
+		rep, err := s.post(url, chunks[:n])
+		if err != nil {
+			// Bodies already taken stay ingested; flushing the tour
+			// again finds them as duplicates.
+			return flushReport{}, err
+		}
+		total.add(rep)
+		if chunks = chunks[n:]; len(chunks) == 0 {
+			return total, nil
+		}
+	}
+}
+
+// post ships one body of chunks to a station's /ingest and decodes its
+// report, reading no more of the reply than a body's worth.
+func (s *archiveSink) post(url string, chunks []*flash.Chunk) (flushReport, error) {
 	frames, err := archive.EncodeFrames(chunks)
 	if err != nil {
 		return flushReport{}, err
 	}
-	url := s.target(tour) + "/ingest"
 	resp, err := s.client.Post(url, "application/octet-stream", bytes.NewReader(frames))
 	if err != nil {
 		return flushReport{}, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := io.ReadAll(io.LimitReader(resp.Body, archive.MaxIngestBytes+1))
 	if err != nil {
 		return flushReport{}, err
+	}
+	if len(body) > archive.MaxIngestBytes {
+		return flushReport{}, fmt.Errorf("POST %s: reply exceeds %d bytes", url, archive.MaxIngestBytes)
 	}
 	if resp.StatusCode != http.StatusOK {
 		return flushReport{}, fmt.Errorf("POST %s: HTTP %d: %s", url, resp.StatusCode, bytes.TrimSpace(body))

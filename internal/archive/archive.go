@@ -235,6 +235,8 @@ type Store struct {
 	reg         *telemetry.Registry
 	legacy      []legacyCounter
 	cBatches    *telemetry.Counter
+	cBodyBytes  *telemetry.Counter
+	cRejected   *telemetry.Counter
 	cIngested   *telemetry.Counter
 	cDups       *telemetry.Counter
 	cSuper      *telemetry.Counter
@@ -293,6 +295,12 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	s.cBatches = counter("ingest.batches", "enviromic_archive_ingest_batches_total",
 		"Ingest batches submitted to the store.")
+	// The write plane's two newest series carry no dotted name: /stats
+	// keeps exactly the counters it always had.
+	s.cBodyBytes = reg.Counter("enviromic_archive_ingest_body_bytes_total",
+		"Bytes of wire bodies handed to ingest, refused ones included.")
+	s.cRejected = reg.Counter("enviromic_archive_ingest_rejected_total",
+		"Ingest bodies refused whole, for their framing or their size.")
 	s.cIngested = counter("ingest.chunks", "enviromic_archive_ingest_chunks_total",
 		"Chunks appended by ingest.")
 	s.cDups = counter("ingest.duplicates", "enviromic_archive_ingest_duplicates_total",
@@ -489,37 +497,60 @@ func (s *Store) shardFor(id flash.FileID) *shard {
 	return s.shards[s.shardIndex(id)]
 }
 
-// Ingest appends the batch's chunks, skipping duplicates (same
-// file/origin/seq — migration copies, retransmissions, or a repeated
-// tour) unless the copy carries a strictly longer payload, in which case
-// it supersedes the archived one. Reports per-file gap deltas. The
-// archive copies what it needs; the caller keeps ownership of the
-// chunks. Concurrent Ingest calls are safe: the batch is submitted to
-// every touched shard's writer at once, and each writer group-commits
-// whatever submissions are queued with one write and at most one fsync.
-func (s *Store) Ingest(chunks []*flash.Chunk) (IngestReport, error) {
+// IngestFrames appends the chunks of one wire body (the EncodeFrames /
+// segment-log format), skipping duplicates (same file/origin/seq —
+// migration copies, retransmissions, or a repeated tour) unless the copy
+// carries a strictly longer payload, in which case it supersedes the
+// archived one. Reports per-file gap deltas. It is the only way bytes
+// reach a shard writer. The body is validated once, whole: any framing
+// error (wrapping ErrBadFrames) refuses it with nothing ingested.
+// Surviving frames are appended to the segments verbatim. The body is
+// only read while the call blocks on the shard writers' replies; once it
+// returns the caller may reuse it. Concurrent calls are safe: the body's
+// frames are submitted to every touched shard's writer at once, and each
+// writer group-commits whatever submissions are queued with one write and
+// at most one fsync.
+func (s *Store) IngestFrames(body []byte) (IngestReport, error) {
 	s.closeMu.RLock()
 	defer s.closeMu.RUnlock()
 	if s.closed {
 		return IngestReport{}, errClosed
 	}
+	s.cBodyBytes.Add(int64(len(body)))
+	frames, err := parseFrames(body)
+	if err != nil {
+		s.cRejected.Inc()
+		return IngestReport{}, err
+	}
 	s.cBatches.Inc()
-	byShard := make([][]*flash.Chunk, len(s.shards))
-	for _, c := range chunks {
-		if c == nil {
-			continue
-		}
-		i := s.shardIndex(c.File)
-		byShard[i] = append(byShard[i], c)
+	// Group the frames by shard, in body order within a shard, in one
+	// backing array: next[i] counts shard i's frames, then is where its
+	// next frame goes, and ends up where its run ends — which is where
+	// shard i+1's begins.
+	next := make([]int, len(s.shards))
+	for _, fr := range frames {
+		next[s.shardIndex(fr.File)]++
+	}
+	sum := 0
+	for i, n := range next {
+		next[i], sum = sum, sum+n
+	}
+	byShard := make([]frameRef, len(frames))
+	for _, fr := range frames {
+		i := s.shardIndex(fr.File)
+		byShard[next[i]] = fr
+		next[i]++
 	}
 	replies := make([]chan subResult, len(s.shards))
-	for i, batch := range byShard {
-		if len(batch) == 0 {
-			continue
+	lo := 0
+	for i, sh := range s.shards {
+		hi := next[i]
+		if hi > lo {
+			ch := make(chan subResult, 1)
+			replies[i] = ch
+			sh.subs <- &submission{body: body, frames: byShard[lo:hi], reply: ch}
 		}
-		ch := make(chan subResult, 1)
-		replies[i] = ch
-		s.shards[i].subs <- &submission{chunks: batch, reply: ch}
+		lo = hi
 	}
 	var rep IngestReport
 	var firstErr error
@@ -549,6 +580,20 @@ func (s *Store) Ingest(chunks []*flash.Chunk) (IngestReport, error) {
 	s.cDups.Add(int64(rep.Duplicates))
 	s.cSuper.Add(int64(rep.Superseded))
 	return rep, firstErr
+}
+
+// Ingest is IngestFrames for a caller that holds chunks rather than a
+// wire body (a local mule flush, the load tools, tests): the chunks —
+// nils skipped — are encoded once and ingested as that body. A payload
+// over flash.PayloadSize fails the whole batch with
+// flash.ErrPayloadTooLarge before anything is ingested. The caller keeps
+// ownership of the chunks.
+func (s *Store) Ingest(chunks []*flash.Chunk) (IngestReport, error) {
+	body, err := EncodeFrames(chunks)
+	if err != nil {
+		return IngestReport{}, err
+	}
+	return s.IngestFrames(body)
 }
 
 // Files lists every archived file, sorted by ID — a total order, so the

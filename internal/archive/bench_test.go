@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,6 +72,61 @@ func BenchmarkArchiveIngestDup(b *testing.B) {
 		if _, err := s.Ingest(chunks); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkArchiveIngestFrames measures what POST /ingest runs: one
+// 256-chunk wire body of fresh full-payload chunks per op, each chunk
+// following its file's last as a tour's do, into a single shard that
+// already indexes 500 or 50 000 files — the second size is there to show
+// what a write costs as the archive grows.
+func BenchmarkArchiveIngestFrames(b *testing.B) {
+	for _, files := range []int{500, 50000} {
+		b.Run(fmt.Sprintf("files=%d", files), func(b *testing.B) {
+			s, err := Open(b.TempDir(), Options{Shards: 1, CheckpointBytes: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			const chunkLen = 83 * time.Millisecond
+			seed := make([]*flash.Chunk, files)
+			for i := range seed {
+				start := sim.At(time.Duration(i) * 10 * time.Second)
+				seed[i] = &flash.Chunk{
+					File: flash.FileID(i + 1), Origin: int32(i % 20),
+					Start: start, End: start.Add(chunkLen), Data: []byte{1},
+				}
+			}
+			if _, err := s.Ingest(seed); err != nil {
+				b.Fatal(err)
+			}
+			const perBody, perFile = 256, 32
+			chunks := benchChunks(perBody, 1)
+			b.SetBytes(perBody * flash.PayloadSize)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j, c := range chunks {
+					// Eight files per body, the next eight each op, so a
+					// file's chunk list grows with b.N/files, not b.N.
+					turn := i*perBody/perFile + j/perFile
+					file := seed[turn%files]
+					c.File = file.File
+					c.Seq = uint32(1 + turn/files*perFile + j%perFile)
+					c.Start = file.Start.Add(time.Duration(c.Seq) * chunkLen)
+					c.End = c.Start.Add(chunkLen)
+				}
+				body, err := EncodeFrames(chunks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if _, err := s.IngestFrames(body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package archive
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -25,7 +26,8 @@ import (
 //	GET  /files/{id}/gaps?tolerance=  coverage gaps + the gap re-query
 //	GET  /files/{id}/wav?rate=        reassembled audio as a WAV download
 //	GET  /query?from=&to=&origins=    interval + origin query
-//	POST /ingest                      framed chunk records (EncodeFrames)
+//	POST /ingest                      framed chunk records (EncodeFrames), at most MaxIngestBytes,
+//	                                  appended as they arrive; 400/413 ingest nothing
 //	POST /compact                     reclaim superseded segment bytes
 //	GET  /stats                       store totals, cache, op counters
 //	GET  /repl/status                 per-shard generation + size (replication source state)
@@ -39,7 +41,7 @@ import (
 // for concurrent use; mount it under "/" next to pprof/expvar the same
 // way enviromic-sim's -http debug mux is wired.
 func NewHandler(s *Store) http.Handler {
-	h := &handler{store: s}
+	h := &handler{store: s, maxIngest: MaxIngestBytes}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /files", h.files)
 	mux.HandleFunc("GET /files/{id}", h.file)
@@ -57,7 +59,8 @@ func NewHandler(s *Store) http.Handler {
 }
 
 type handler struct {
-	store *Store
+	store     *Store
+	maxIngest int64 // MaxIngestBytes; a field so a test can reach the bound
 }
 
 // EndpointOf maps an archive request to its route pattern ("/files/{id}/wav"
@@ -328,18 +331,46 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, out)
 }
 
+// MaxIngestBytes bounds one POST /ingest body (about a quarter of a
+// million full chunks); a longer one is refused whole with a 413. A
+// client with more to flush cuts it at frame boundaries into several.
+const MaxIngestBytes = 64 << 20
+
+// ingest reads the bounded body once, into a buffer sized from
+// Content-Length when the client declared one, and hands it to
+// IngestFrames as it arrived. A body that is too long (413), cut short or
+// malformed anywhere (400) ingests nothing.
 func (h *handler) ingest(w http.ResponseWriter, r *http.Request) {
-	chunks, err := DecodeFrames(r.Body)
-	if err != nil {
+	tooLong := func() {
+		h.store.cRejected.Inc()
+		httpError(w, http.StatusRequestEntityTooLarge, "body exceeds the %d-byte bound", h.maxIngest)
+	}
+	if r.ContentLength > h.maxIngest {
+		tooLong()
+		return
+	}
+	var body bytes.Buffer
+	if r.ContentLength > 0 {
+		// MinRead spare bytes let ReadFrom see EOF without growing.
+		body.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	if _, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, h.maxIngest)); err != nil {
+		if errors.As(err, new(*http.MaxBytesError)) {
+			tooLong()
+		} else {
+			httpError(w, http.StatusBadRequest, "reading body: %v", err)
+		}
+		return
+	}
+	rep, err := h.store.IngestFrames(body.Bytes())
+	switch {
+	case errors.Is(err, ErrBadFrames):
 		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	rep, err := h.store.Ingest(chunks)
-	if err != nil {
+	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
-		return
+	default:
+		WriteJSON(w, ingestReportJSON(rep))
 	}
-	WriteJSON(w, ingestReportJSON(rep))
 }
 
 // ingestReportJSON shapes an IngestReport for the wire, including the

@@ -3,9 +3,12 @@ package archive
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"testing"
 
@@ -221,6 +224,107 @@ func TestHTTPIngest(t *testing.T) {
 	}
 }
 
+// TestHTTPIngestRefusesWholeBody: one bad frame in the middle of a body,
+// or a body over the bound, and nothing of it reaches the store — not the
+// good frames before the bad one, not a byte on disk, not a counter a
+// reader could see, not the manifest tag a federation peer revalidates.
+func TestHTTPIngestRefusesWholeBody(t *testing.T) {
+	s, srv := newTestServer(t)
+	var fresh []*flash.Chunk
+	for i := 0; i < 8; i++ { // every shard gets a frame
+		fresh = append(fresh, mkChunk(flash.FileID(10+i), 7, uint32(i), float64(i), float64(i+1)))
+	}
+	good, err := EncodeFrames(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frameLen := len(good) / len(fresh)
+	badCRC := bytes.Clone(good)
+	badCRC[3*frameLen+frameHeaderSize+flash.MinRecordSize] ^= 1
+	badLen := bytes.Clone(good)
+	badLen[3*frameLen+3]++ // the frame claims one byte more than its record fills
+
+	diskSizes := func() (sizes []int64) {
+		for i := range s.shards {
+			st, err := os.Stat(s.shardPath(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes = append(sizes, st.Size())
+		}
+		return sizes
+	}
+	stats, sizes, tag := s.Stats(), diskSizes(), s.ManifestTag()
+	unchanged := func(what string) {
+		t.Helper()
+		if got := s.Stats(); !reflect.DeepEqual(got, stats) {
+			t.Errorf("%s: stats moved:\n%+v\n%+v", what, stats, got)
+		}
+		if got := diskSizes(); !reflect.DeepEqual(got, sizes) {
+			t.Errorf("%s: segment sizes %v, were %v", what, got, sizes)
+		}
+		if got := s.ManifestTag(); got != tag {
+			t.Errorf("%s: manifest tag %s, was %s", what, got, tag)
+		}
+	}
+	wantError := func(what string, resp *http.Response, code int) {
+		t.Helper()
+		var msg struct {
+			Error string `json:"error"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&msg); resp.StatusCode != code || err != nil || msg.Error == "" {
+			t.Errorf("%s: HTTP %d %q (%v), want %d with a JSON error", what, resp.StatusCode, msg.Error, err, code)
+		}
+		resp.Body.Close()
+	}
+
+	for what, body := range map[string][]byte{"bad CRC": badCRC, "bad length": badLen, "torn": good[:5*frameLen+1]} {
+		resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		wantError(what, resp, http.StatusBadRequest)
+		unchanged(what)
+		if _, err := s.IngestFrames(body); !errors.Is(err, ErrBadFrames) {
+			t.Errorf("%s: IngestFrames error %v, want ErrBadFrames", what, err)
+		}
+		unchanged(what + " in process")
+	}
+
+	// Over the bound, declared and undeclared (chunked), against a handler
+	// whose bound a test can afford to exceed.
+	h := &handler{store: s, maxIngest: int64(len(good)) - 1}
+	for _, declared := range []bool{true, false} {
+		req := httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(good))
+		if !declared {
+			req.ContentLength = -1
+		}
+		rec := httptest.NewRecorder()
+		h.ingest(rec, req)
+		wantError(fmt.Sprintf("too long, declared=%v", declared), rec.Result(), http.StatusRequestEntityTooLarge)
+		unchanged("too long")
+	}
+	if got := s.Metrics().Counter("enviromic_archive_ingest_rejected_total", "").Value(); got != 8 {
+		t.Errorf("rejected counter = %d, want 8", got)
+	}
+
+	// The same body, whole, goes in.
+	bodyBytes := s.Metrics().Counter("enviromic_archive_ingest_body_bytes_total", "")
+	before := bodyBytes.Value()
+	resp, err := http.Post(srv.URL+"/ingest", "application/octet-stream", bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if st := s.Stats(); resp.StatusCode != http.StatusOK || st.Chunks != stats.Chunks+len(fresh) {
+		t.Fatalf("good body: HTTP %d, %d chunks, want %d", resp.StatusCode, st.Chunks, stats.Chunks+len(fresh))
+	}
+	if got := bodyBytes.Value() - before; got != int64(len(good)) {
+		t.Errorf("body bytes counter moved by %d, want %d", got, len(good))
+	}
+}
+
 func TestHTTPStats(t *testing.T) {
 	_, srv := newTestServer(t)
 	var st Stats
@@ -244,7 +348,7 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := DecodeFrames(bytes.NewReader(frames))
+	got, err := DecodeFrames(frames)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -260,7 +364,7 @@ func TestEncodeDecodeFramesRoundTrip(t *testing.T) {
 	// Corrupt one payload byte: decode must fail loudly.
 	bad := bytes.Clone(frames)
 	bad[frameHeaderSize+10] ^= 1
-	if _, err := DecodeFrames(bytes.NewReader(bad)); err == nil {
+	if _, err := DecodeFrames(bad); err == nil {
 		t.Fatalf("corrupt frame stream decoded without error")
 	}
 }

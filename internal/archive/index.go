@@ -47,6 +47,15 @@ type fileMeta struct {
 	// snapshot does no dedup-map inserts for files that never grow again.
 	seen    map[uint64]int32
 	origins map[int32]struct{}
+
+	// The file's gap count and span at the store's default tolerance, as
+	// of the last group commit that changed it. Private to the shard's
+	// writer, which reads an ingest delta's "before" from them instead of
+	// re-sorting the chunk list; unknown after open (snapshot or scan)
+	// until the writer first touches the file. Queries compute their own.
+	gapsKnown bool
+	gaps      int
+	gapSpan   time.Duration
 }
 
 // dedupKey packs (origin, seq) into one map key. File identity is implied
@@ -65,6 +74,13 @@ func (fm *fileMeta) ensureSeen() {
 	for i, m := range fm.chunks {
 		fm.seen[dedupKey(m.origin, m.seq)] = int32(i)
 	}
+}
+
+// refreshGaps recomputes the writer's gap state from the chunk list. Must
+// run on the shard's sole mutator.
+func (fm *fileMeta) refreshGaps(tolerance time.Duration) {
+	g := gapsIn(fm.chunks, tolerance)
+	fm.gapsKnown, fm.gaps, fm.gapSpan = true, len(g), gapSpan(g)
 }
 
 // gapsIn computes uncovered stretches longer than tolerance over a set of
@@ -257,10 +273,9 @@ func openShard(id int, path string, gen uint64, env *shardEnv) (*shard, error) {
 
 	replayed := 0
 	scanStart := time.Now()
-	valid, err := scanSegment(f, scanFrom, func(c *flash.Chunk, off int64, length int32) {
-		sh.applyChunk(c, off, length)
+	valid, err := scanSegment(f, scanFrom, func(h flash.RecordHeader, off int64, length int32) {
+		sh.applyChunk(h, off, length)
 		replayed++
-		flash.FreeChunk(c) // the index keeps metadata only
 	})
 	if err != nil {
 		f.Close()
@@ -310,24 +325,24 @@ func unwrapSnapshotErr(err error) error {
 // exactly the index state ingest built. Must run on the shard's sole
 // mutator; the ingest commit path applies the same rules via its staged
 // variant in pipeline.go.
-func (sh *shard) applyChunk(c *flash.Chunk, off int64, length int32) {
-	fm := sh.files[c.File]
+func (sh *shard) applyChunk(h flash.RecordHeader, off int64, length int32) {
+	fm := sh.files[h.File]
 	if fm == nil {
 		fm = &fileMeta{
-			id:      c.File,
-			start:   c.Start,
-			end:     c.End,
+			id:      h.File,
+			start:   h.Start,
+			end:     h.End,
 			seen:    make(map[uint64]int32),
 			origins: make(map[int32]struct{}),
 		}
-		sh.files[c.File] = fm
+		sh.files[h.File] = fm
 	}
 	fm.ensureSeen()
 	meta := chunkMeta{
-		offset: off, start: c.Start, end: c.End,
-		origin: c.Origin, length: length, seq: c.Seq,
+		offset: off, start: h.Start, end: h.End,
+		origin: h.Origin, length: length, seq: h.Seq,
 	}
-	key := dedupKey(c.Origin, c.Seq)
+	key := dedupKey(h.Origin, h.Seq)
 	if i, dup := fm.seen[key]; dup {
 		old := fm.chunks[i]
 		if meta.length > old.length {
@@ -365,28 +380,105 @@ func (sh *shard) absorbSpan(fm *fileMeta, m chunkMeta) {
 	byo[fm.id] = struct{}{}
 }
 
-// rebuildInterval re-sorts the interval index. Caller holds mu (write) or
-// is the open scan. O(files log files) per ingest batch, amortized cheap
-// next to the disk write.
+// spanLess is byStart's order: by span start, ties by file ID.
+func spanLess(a, b *fileMeta) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	return a.id < b.id
+}
+
+// rebuildInterval builds the interval index from scratch: O(files log
+// files), for open — and the oracle the tests hold reindex to. Caller
+// holds mu (write) or is the open scan.
 func (sh *shard) rebuildInterval() {
 	sh.byStart = sh.byStart[:0]
 	for _, fm := range sh.files {
 		sh.byStart = append(sh.byStart, fm)
 	}
-	sort.Slice(sh.byStart, func(i, j int) bool {
-		a, b := sh.byStart[i], sh.byStart[j]
-		if a.start != b.start {
-			return a.start < b.start
-		}
-		return a.id < b.id
-	})
+	sort.Slice(sh.byStart, func(i, j int) bool { return spanLess(sh.byStart[i], sh.byStart[j]) })
 	sh.prefixMaxEnd = sh.prefixMaxEnd[:0]
-	var max sim.Time
-	for _, fm := range sh.byStart {
-		if fm.end > max {
-			max = fm.end
+	sh.refreshPrefix(0, len(sh.byStart))
+}
+
+// respan collects the files whose span one publish changed, by what the
+// interval index must do about each: fresh files are new to the shard,
+// moved ones sit in byStart under a start they no longer have (a start
+// only moves earlier), grown ones only grew their end.
+type respan struct {
+	fresh, moved, grown []*fileMeta
+}
+
+// reindex brings byStart and prefixMaxEnd up to date with one publish at
+// the cost of what it changed: nothing for a group of duplicates, a
+// binary search and a short prefix pass per grown end, one merge pass
+// over the entries above the lowest (re)seated file however many files
+// are seated — plus, in the rare group that moved a start, one sweep to
+// pull those files out, since entries out of order cannot be searched
+// for. Caller holds mu (write).
+func (sh *shard) reindex(rs respan) {
+	lo, hi := len(sh.byStart), 0
+	seat := rs.fresh
+	if len(rs.moved) > 0 {
+		out := make(map[*fileMeta]bool, len(rs.moved))
+		for _, fm := range rs.moved {
+			out[fm] = true
 		}
-		sh.prefixMaxEnd = append(sh.prefixMaxEnd, max)
+		kept := sh.byStart[:0]
+		for _, fm := range sh.byStart {
+			if !out[fm] {
+				kept = append(kept, fm)
+			}
+		}
+		sh.byStart = kept
+		seat = append(seat, rs.moved...)
+	}
+	if len(seat) > 0 {
+		// Merge from the top: both runs are sorted, and nothing below the
+		// lowest seat is touched.
+		sort.Slice(seat, func(i, j int) bool { return spanLess(seat[i], seat[j]) })
+		i := len(sh.byStart) - 1
+		sh.byStart = append(sh.byStart, seat...)
+		w := len(sh.byStart) - 1
+		for j := len(seat) - 1; j >= 0; w-- {
+			if i >= 0 && spanLess(seat[j], sh.byStart[i]) {
+				sh.byStart[w] = sh.byStart[i]
+				i--
+			} else {
+				sh.byStart[w] = seat[j]
+				j--
+			}
+		}
+		lo, hi = w+1, len(sh.byStart)
+	}
+	for _, fm := range rs.grown {
+		at := sort.Search(len(sh.byStart), func(i int) bool { return !spanLess(sh.byStart[i], fm) })
+		lo, hi = min(lo, at), max(hi, at+1)
+	}
+	sh.refreshPrefix(lo, hi)
+}
+
+// refreshPrefix recomputes prefixMaxEnd from position lo up: everything
+// below lo must already be right. No file at or past position hi changed
+// and prefixMaxEnd still lines up with byStart there, so once the pass is
+// that far and computes the value already stored, the rest stands.
+func (sh *shard) refreshPrefix(lo, hi int) {
+	var max sim.Time
+	if lo > 0 {
+		max = sh.prefixMaxEnd[lo-1]
+	}
+	for i := lo; i < len(sh.byStart); i++ {
+		if end := sh.byStart[i].end; end > max {
+			max = end
+		}
+		switch {
+		case i >= len(sh.prefixMaxEnd):
+			sh.prefixMaxEnd = append(sh.prefixMaxEnd, max)
+		case i >= hi && sh.prefixMaxEnd[i] == max:
+			return
+		default:
+			sh.prefixMaxEnd[i] = max
+		}
 	}
 }
 

@@ -9,22 +9,33 @@ import (
 )
 
 // The ingest pipeline: each shard owns one writer goroutine, the sole
-// mutator of its segment and indexes. Store.Ingest splits a batch by
-// shard and submits every shard's slice concurrently, so a batch that
-// spans shards pipelines across disks instead of serializing; many
-// concurrent callers hitting one shard are group-committed — the writer
-// drains whatever submissions are queued (up to groupMax), stages them
-// all, performs ONE segment write and (when SyncOnIngest is set) ONE
-// fsync for the group, then publishes the index mutations under a single
-// write-lock acquisition. Amortizing the fsync across the group is what
-// makes durable ingest scale with client count: k clients cost one flush,
-// not k.
+// mutator of its segment and indexes. Store.IngestFrames validates a wire
+// body once, splits its frames by shard and submits every shard's share
+// concurrently, so a body that spans shards pipelines across disks instead
+// of serializing; many concurrent callers hitting one shard are
+// group-committed — the writer drains whatever submissions are queued (up
+// to groupMax), stages them all, performs ONE segment write and (when
+// SyncOnIngest is set) ONE fsync for the group, then publishes the index
+// mutations under a single write-lock acquisition. Amortizing the fsync
+// across the group is what makes durable ingest scale with client count:
+// k clients cost one flush, not k.
+//
+// A frame enters the segment as the bytes it arrived as. The wire framing
+// is the segment framing and has no optional fields, so a frame that
+// passed parseFrames is already what the writer would have encoded:
+// staging takes the dedup / supersede / duplicate decision on the frame's
+// header metadata and copies a surviving frame — length, CRC and record —
+// out of the body into the group buffer. Nothing is decoded into a chunk,
+// re-encoded or checksummed a second time.
 //
 // Staging runs lock-free: the writer reads the committed index without
 // locking (no other goroutine mutates it) and accumulates all changes in
 // a group-private overlay, so queries proceed under read locks for the
-// whole encode/write/fsync. Only the final index publish takes the write
-// lock, and it does no I/O.
+// whole stage/write/fsync. Only the final index publish takes the write
+// lock, and it does no I/O and costs what the group changed, not what the
+// shard holds: the interval index is patched for the files whose span
+// moved (shard.reindex), and a file's gap state before the group is read
+// from what the writer remembered after the last one (fileMeta.gaps).
 //
 // Semantics note: a submission's gap deltas are computed against the
 // index as of its group's start and end. For a single caller (the mule
@@ -36,9 +47,12 @@ import (
 // groupMax bounds how many queued submissions one group commit absorbs.
 const groupMax = 64
 
-// submission is one shard's slice of an Ingest batch.
+// submission is one shard's share of an IngestFrames body: the body, and
+// the frames in it that belong to this shard. The writer reads body only
+// until it replies.
 type submission struct {
-	chunks []*flash.Chunk
+	body   []byte
+	frames []frameRef
 	reply  chan subResult
 }
 
@@ -64,6 +78,9 @@ type stagedFile struct {
 	gapsBefore    int
 	gapSpanBefore time.Duration
 }
+
+// changed reports whether the group added to or superseded in the file.
+func (sf *stagedFile) changed() bool { return len(sf.newChunks) > 0 || len(sf.replace) > 0 }
 
 // perFileCounts tracks one submission's effect on one file.
 type perFileCounts struct {
@@ -136,14 +153,13 @@ func (sh *shard) runCtl(fn func()) {
 func (sh *shard) commitGroup(group []*submission) {
 	sh.env.cGroups.Inc()
 	sh.env.hGroupBatch.Observe(float64(len(group)))
-	// Presize the encode buffer to the group's worst case (every chunk
-	// surviving) and reuse the writer's scratch allocation across groups —
-	// append-doubling a quarter-megabyte group costs more than the extra
-	// capacity estimate pass.
+	// Presize the group buffer to the worst case (every frame surviving)
+	// and reuse the writer's scratch allocation across groups —
+	// append-doubling a quarter-megabyte group costs more than the sum.
 	need := 0
 	for _, sub := range group {
-		for _, c := range sub.chunks {
-			need += frameHeaderSize + flash.MinRecordSize + len(c.Data)
+		for _, fr := range sub.frames {
+			need += fr.hi - fr.lo
 		}
 	}
 	if cap(sh.scratch) < need {
@@ -152,34 +168,28 @@ func (sh *shard) commitGroup(group []*submission) {
 	var (
 		buf     = sh.scratch[:0]
 		overlay = make(map[flash.FileID]*stagedFile)
-		results = make([]subResult, len(group))
 		// counts[i] is submission i's per-file tally, keyed by file.
 		counts = make([]map[flash.FileID]*perFileCounts, len(group))
 	)
 	writeBase := sh.size
 
 	// Stage: dedup/supersede decisions against committed index + overlay,
-	// encode surviving frames into one buffer. Infallible per chunk except
-	// for oversized payloads, which are rejected before staging so a
-	// failed submission stages nothing.
+	// surviving frames copied into one buffer. Infallible: parseFrames
+	// refused anything malformed before the body was submitted.
 	for i, sub := range group {
 		counts[i] = make(map[flash.FileID]*perFileCounts)
-		if err := validateChunks(sub.chunks); err != nil {
-			results[i].err = err
-			continue
-		}
-		for _, c := range sub.chunks {
-			sf := overlay[c.File]
+		for _, fr := range sub.frames {
+			sf := overlay[fr.File]
 			if sf == nil {
-				sf = sh.stageFile(c.File)
-				overlay[c.File] = sf
+				sf = sh.stageFile(fr.File)
+				overlay[fr.File] = sf
 			}
-			pc := counts[i][c.File]
+			pc := counts[i][fr.File]
 			if pc == nil {
 				pc = &perFileCounts{}
-				counts[i][c.File] = pc
+				counts[i][fr.File] = pc
 			}
-			buf = sh.stageChunk(sf, pc, c, writeBase, buf)
+			buf = stageChunk(sf, pc, fr, sub.body, writeBase, buf)
 		}
 	}
 
@@ -188,13 +198,13 @@ func (sh *shard) commitGroup(group []*submission) {
 			// The group's frames may be partially on disk past sh.size;
 			// the size is not advanced, so the next group overwrites them
 			// and a reopen's CRC scan stops at the torn region.
-			failGroup(group, results, fmt.Errorf("archive: appending to %s: %w", sh.path, err))
+			failGroup(group, fmt.Errorf("archive: appending to %s: %w", sh.path, err))
 			return
 		}
 		if sh.env.syncOnIngest {
 			syncStart := time.Now()
 			if err := sh.f.Sync(); err != nil {
-				failGroup(group, results, fmt.Errorf("archive: syncing %s: %w", sh.path, err))
+				failGroup(group, fmt.Errorf("archive: syncing %s: %w", sh.path, err))
 				return
 			}
 			sh.env.cGroupSyncs.Inc()
@@ -203,65 +213,52 @@ func (sh *shard) commitGroup(group []*submission) {
 	}
 
 	// Publish: merge the overlay into the committed index under one write
-	// lock. Pure memory — queries are blocked only for the merge itself.
+	// lock. Pure memory — queries are blocked only for the merge itself,
+	// and a group of duplicates leaves the interval index alone.
 	sh.mu.Lock()
+	var rs respan
 	for _, sf := range overlay {
-		sh.publishFile(sf)
+		sh.publishFile(sf, &rs)
 	}
 	sh.size += int64(len(buf))
-	sh.rebuildInterval()
+	sh.reindex(rs)
 	sh.mu.Unlock()
 
-	// Report: gap state after the group, computed lock-free (the writer
-	// is the only mutator), then reply to every submission.
-	type afterState struct {
-		gaps int
-		span time.Duration
-	}
-	after := make(map[flash.FileID]afterState, len(overlay))
-	for id := range overlay {
-		g := gapsIn(sh.files[id].chunks, sh.env.gapTolerance)
-		after[id] = afterState{gaps: len(g), span: gapSpan(g)}
+	// Report: gap state after the group for the files it changed, computed
+	// lock-free (the writer is the only mutator) and remembered for the
+	// next group's "before"; then reply to every submission.
+	for _, sf := range overlay {
+		if sf.changed() {
+			sf.fm.refreshGaps(sh.env.gapTolerance)
+		}
 	}
 	for i, sub := range group {
-		r := &results[i]
-		if r.err == nil {
-			for id, pc := range counts[i] {
-				sf := overlay[id]
-				a := after[id]
-				r.deltas = append(r.deltas, FileDelta{
-					File:          id,
-					Added:         pc.added,
-					Duplicates:    pc.dups,
-					Superseded:    pc.superseded,
-					GapsBefore:    sf.gapsBefore,
-					GapsAfter:     a.gaps,
-					GapSpanBefore: sf.gapSpanBefore,
-					GapSpanAfter:  a.span,
-				})
-				r.added += pc.added
-				r.dups += pc.dups
-				r.superseded += pc.superseded
-			}
-			sort.Slice(r.deltas, func(a, b int) bool { return r.deltas[a].File < r.deltas[b].File })
+		var r subResult
+		for id, pc := range counts[i] {
+			sf := overlay[id]
+			r.deltas = append(r.deltas, FileDelta{
+				File:          id,
+				Added:         pc.added,
+				Duplicates:    pc.dups,
+				Superseded:    pc.superseded,
+				GapsBefore:    sf.gapsBefore,
+				GapsAfter:     sf.fm.gaps,
+				GapSpanBefore: sf.gapSpanBefore,
+				GapSpanAfter:  sf.fm.gapSpan,
+			})
+			r.added += pc.added
+			r.dups += pc.dups
+			r.superseded += pc.superseded
 		}
-		sub.reply <- *r
+		sort.Slice(r.deltas, func(a, b int) bool { return r.deltas[a].File < r.deltas[b].File })
+		sub.reply <- r
 	}
 	sh.scratch = buf[:0]
 }
 
-// validateChunks rejects a submission containing an unencodable chunk
-// before anything is staged.
-func validateChunks(chunks []*flash.Chunk) error {
-	for _, c := range chunks {
-		if len(c.Data) > flash.PayloadSize {
-			return fmt.Errorf("archive: chunk payload %d exceeds %d", len(c.Data), flash.PayloadSize)
-		}
-	}
-	return nil
-}
-
-// stageFile opens a file's overlay, capturing its pre-group gap state.
+// stageFile opens a file's overlay, capturing its pre-group gap state —
+// remembered from the last group that changed the file, or computed now
+// if none has since open.
 func (sh *shard) stageFile(id flash.FileID) *stagedFile {
 	// replace and overlaySeen stay nil until a chunk survives dedup — a
 	// duplicate-only group allocates no per-file maps.
@@ -269,19 +266,21 @@ func (sh *shard) stageFile(id flash.FileID) *stagedFile {
 	if fm := sh.files[id]; fm != nil {
 		sf.fm = fm
 		fm.ensureSeen()
-		g := gapsIn(fm.chunks, sh.env.gapTolerance)
-		sf.gapsBefore = len(g)
-		sf.gapSpanBefore = gapSpan(g)
+		if !fm.gapsKnown {
+			fm.refreshGaps(sh.env.gapTolerance)
+		}
+		sf.gapsBefore, sf.gapSpanBefore = fm.gaps, fm.gapSpan
 	}
 	return sf
 }
 
-// stageChunk applies one chunk's dedup/supersede decision to the overlay
-// and encodes it into buf when it survives. Mirrors shard.applyChunk (the
-// scan path) so an ingest-built index and a rebuilt one agree.
-func (sh *shard) stageChunk(sf *stagedFile, pc *perFileCounts, c *flash.Chunk, writeBase int64, buf []byte) []byte {
-	key := dedupKey(c.Origin, c.Seq)
-	newLen := int32(flash.MinRecordSize + len(c.Data))
+// stageChunk applies one frame's dedup/supersede decision to the overlay
+// and copies the frame out of body into buf when it survives. Mirrors
+// shard.applyChunk (the scan path) so an ingest-built index and a rebuilt
+// one agree.
+func stageChunk(sf *stagedFile, pc *perFileCounts, fr frameRef, body []byte, writeBase int64, buf []byte) []byte {
+	key := dedupKey(fr.Origin, fr.Seq)
+	newLen := int32(flash.MinRecordSize + fr.PayloadLen)
 
 	// Current holder of the key, looking through the overlay first.
 	var cur *chunkMeta
@@ -306,18 +305,12 @@ func (sh *shard) stageChunk(sf *stagedFile, pc *perFileCounts, c *flash.Chunk, w
 		return buf // duplicate: never reaches disk
 	}
 
-	start := len(buf)
-	buf, err := appendFrame(buf, c)
-	if err != nil {
-		// Unreachable after validateChunks; treat as a duplicate drop.
-		pc.dups++
-		return buf[:start]
-	}
 	meta := chunkMeta{
-		offset: writeBase + int64(start) + frameHeaderSize,
-		start:  c.Start, end: c.End,
-		origin: c.Origin, length: newLen, seq: c.Seq,
+		offset: writeBase + int64(len(buf)) + frameHeaderSize,
+		start:  fr.Start, end: fr.End,
+		origin: fr.Origin, length: newLen, seq: fr.Seq,
 	}
+	buf = append(buf, body[fr.lo:fr.hi]...)
 	switch {
 	case cur == nil:
 		if sf.overlaySeen == nil {
@@ -343,11 +336,11 @@ func (sh *shard) stageChunk(sf *stagedFile, pc *perFileCounts, c *flash.Chunk, w
 	return buf
 }
 
-// publishFile merges one file's overlay into the committed index. Caller
-// holds mu (write).
-func (sh *shard) publishFile(sf *stagedFile) {
-	if len(sf.newChunks) == 0 && len(sf.replace) == 0 {
-		sh.supersededBytes += sf.deadBytes // dup-only groups can still strand staged frames
+// publishFile merges one file's overlay into the committed index and
+// notes in rs what that did to the file's span. Caller holds mu (write).
+func (sh *shard) publishFile(sf *stagedFile, rs *respan) {
+	sh.supersededBytes += sf.deadBytes // dup-only groups can still strand staged frames
+	if !sf.changed() {
 		return
 	}
 	fm := sf.fm
@@ -362,6 +355,7 @@ func (sh *shard) publishFile(sf *stagedFile) {
 		}
 		sh.files[sf.id] = fm
 	}
+	oldStart, oldEnd := fm.start, fm.end
 	for i, m := range sf.replace {
 		old := fm.chunks[i]
 		fm.chunks[i] = m
@@ -375,18 +369,21 @@ func (sh *shard) publishFile(sf *stagedFile) {
 		sh.absorbSpan(fm, m)
 	}
 	fm.version++
-	sh.supersededBytes += sf.deadBytes
+	switch {
+	case sf.fm == nil:
+		sf.fm = fm
+		rs.fresh = append(rs.fresh, fm)
+	case fm.start != oldStart:
+		rs.moved = append(rs.moved, fm)
+	case fm.end != oldEnd:
+		rs.grown = append(rs.grown, fm)
+	}
 }
 
 // failGroup replies the same error to every submission in the group.
-func failGroup(group []*submission, results []subResult, err error) {
-	for i, sub := range group {
-		r := results[i]
-		r.deltas, r.added, r.dups, r.superseded = nil, 0, 0, 0
-		if r.err == nil {
-			r.err = err
-		}
-		sub.reply <- r
+func failGroup(group []*submission, err error) {
+	for _, sub := range group {
+		sub.reply <- subResult{err: err}
 	}
 }
 

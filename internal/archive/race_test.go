@@ -4,6 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -175,5 +176,113 @@ func TestConcurrentIngestSameKeys(t *testing.T) {
 	}
 	if got := st.Counters["ingest.chunks"] + st.Counters["ingest.duplicates"]; got != 6*6*25 {
 		t.Fatalf("accounting: added+dups = %d, want %d", got, 6*6*25)
+	}
+}
+
+// TestConcurrentIngestFramesReadsCompact races wire-body ingest against
+// every read surface and back-to-back compactions. Each writer sends a
+// key's short copy and then its longer one — so supersession keeps the
+// compactor in work — and reuses one buffer for every body, overwriting
+// it the moment IngestFrames returns: a shard writer still reading a body
+// after its reply would be a reported race. At the end every key must
+// hold its longer copy, compaction must have reclaimed every dead frame,
+// and a reopen by scan must list what the live index listed.
+func TestConcurrentIngestFramesReadsCompact(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir, Options{Shards: 3, CacheBytes: 1 << 20})
+	const (
+		writers = 3
+		files   = 9
+		rounds  = 30
+	)
+	var readers, compactor sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := flash.FileID(i%files + 1)
+				s.Query(sim.At(time.Duration(i%rounds)*time.Second), sim.At(time.Duration(i%rounds+3)*time.Second), nil)
+				s.Gaps(id, 0)
+				if f, err := s.File(id); err == nil {
+					for _, c := range f.Chunks {
+						if len(c.Data) < 4 || c.Data[0] != byte(c.File) || c.Data[2] != byte(c.Seq) {
+							t.Errorf("file %d served chunk %+v", id, c)
+							return
+						}
+					}
+				}
+				s.Manifest()
+			}
+		}()
+	}
+	compactor.Add(1)
+	go func() {
+		defer compactor.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := s.Compact(); err != nil {
+				t.Errorf("Compact: %v", err)
+				return
+			}
+		}
+	}()
+
+	var ingest sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		ingest.Add(1)
+		go func(w int) {
+			defer ingest.Done()
+			var body []byte
+			for seq := 0; seq < rounds; seq++ {
+				for _, extra := range []int{0, 16} {
+					body = body[:0]
+					for f := 1; f <= files; f++ {
+						c := mkChunk(flash.FileID(f), int32(w), uint32(seq), float64(seq), float64(seq+1))
+						c.Data = append(c.Data, make([]byte, extra)...)
+						var err error
+						if body, err = appendFrame(body, c); err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if _, err := s.IngestFrames(body); err != nil {
+						t.Errorf("IngestFrames: %v", err)
+						return
+					}
+					clear(body)
+				}
+			}
+		}(w)
+	}
+	ingest.Wait()
+	close(stop)
+	readers.Wait()
+	compactor.Wait()
+
+	if _, err := s.Compact(); err != nil {
+		t.Fatalf("final Compact: %v", err)
+	}
+	st := s.Stats()
+	if want := files * writers * rounds; st.Chunks != want || st.SupersededBytes != 0 ||
+		st.Bytes != int64(want*(4+16)) || st.Counters["ingest.superseded"] != int64(want) {
+		t.Fatalf("after the storm: %+v, want %d chunks of 20 bytes, each superseded once, no dead bytes", st, want)
+	}
+	want := s.Files()
+	s.crashClose()
+	s2 := openTest(t, dir, Options{NoSnapshots: true})
+	defer s2.Close()
+	if got := s2.Files(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reopen by scan lists %d files that differ from the live index's %d", len(got), len(want))
 	}
 }

@@ -92,9 +92,9 @@ func (s *Store) Delta(cur ReplCursor, maxBytes int64) (frames []byte, next ReplC
 	if maxBytes <= 0 {
 		maxBytes = DefaultDeltaBytes
 	}
-	// A frame is at most header + max record; reading this much always
-	// yields at least one whole frame of progress.
-	minRead := int64(frameHeaderSize + flash.MaxRecordSize)
+	// Reading a whole frame's worth always yields at least one frame of
+	// progress.
+	const minRead = int64(MaxFrameBytes)
 	next = make(ReplCursor, len(s.shards))
 	budget := maxBytes
 	for i, sh := range s.shards {
@@ -138,7 +138,7 @@ func (s *Store) Delta(cur ReplCursor, maxBytes int64) (frames []byte, next ReplC
 		if rerr != nil && int64(n) < readLen {
 			return nil, nil, 0, fmt.Errorf("archive: reading delta of shard %d at %d: %w", i, from, rerr)
 		}
-		valid := framePrefix(buf[:n])
+		_, valid := framePrefix(buf[:n])
 		frames = append(frames, buf[:valid]...)
 		next[i] = ShardCursor{Gen: gen, Off: from + int64(valid)}
 		budget -= int64(valid)
@@ -148,22 +148,22 @@ func (s *Store) Delta(cur ReplCursor, maxBytes int64) (frames []byte, next ReplC
 }
 
 // framePrefix walks frame headers from the start of b and returns the
-// length of the longest prefix made of whole frames. b must begin at a
-// frame boundary (cursors only ever advance by whole frames). CRC
-// validation is left to the receiver's DecodeFrames.
-func framePrefix(b []byte) int {
-	off := 0
-	for off+frameHeaderSize <= len(b) {
-		n := int(binary.BigEndian.Uint32(b[off:]))
+// longest prefix made of whole frames: how many, and their length in
+// bytes. b must begin at a frame boundary (cursors only ever advance by
+// whole frames). CRC validation is left to the receiver's parseFrames.
+func framePrefix(b []byte) (frames, size int) {
+	for size+frameHeaderSize <= len(b) {
+		n := int(binary.BigEndian.Uint32(b[size:]))
 		if n < flash.MinRecordSize || n > flash.MaxRecordSize {
 			break // torn or corrupt header: stop at the last good frame
 		}
-		if off+frameHeaderSize+n > len(b) {
+		if size+frameHeaderSize+n > len(b) {
 			break
 		}
-		off += frameHeaderSize + n
+		size += frameHeaderSize + n
+		frames++
 	}
-	return off
+	return frames, size
 }
 
 // ReplShardStatus is one shard's replication source state.

@@ -1,7 +1,6 @@
 package archive
 
 import (
-	"bytes"
 	"encoding/binary"
 	"reflect"
 	"testing"
@@ -22,12 +21,9 @@ func pullAll(t *testing.T, src, dst *Store, cur ReplCursor, maxBytes int64) (Rep
 		}
 		pulls++
 		if len(frames) > 0 {
-			chunks, err := DecodeFrames(bytes.NewReader(frames))
-			if err != nil {
-				t.Fatalf("DecodeFrames: %v", err)
-			}
-			if _, err := dst.Ingest(chunks); err != nil {
-				t.Fatalf("Ingest: %v", err)
+			// As the federation puller does: the delta goes in as it came.
+			if _, err := dst.IngestFrames(frames); err != nil {
+				t.Fatalf("IngestFrames: %v", err)
 			}
 		}
 		cur = next
@@ -83,7 +79,7 @@ func TestDeltaReplicatesEverything(t *testing.T) {
 	if lag != 0 {
 		t.Fatalf("lag = %d, want 0", lag)
 	}
-	chunks, err := DecodeFrames(bytes.NewReader(frames))
+	chunks, err := DecodeFrames(frames)
 	if err != nil {
 		t.Fatalf("DecodeFrames: %v", err)
 	}
@@ -314,7 +310,7 @@ func TestFileFrames(t *testing.T) {
 	if err != nil {
 		t.Fatalf("FileFrames: %v", err)
 	}
-	chunks, err := DecodeFrames(bytes.NewReader(frames))
+	chunks, err := DecodeFrames(frames)
 	if err != nil {
 		t.Fatalf("DecodeFrames: %v", err)
 	}

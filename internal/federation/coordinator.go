@@ -1,7 +1,6 @@
 package federation
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -392,5 +391,5 @@ func (st *Station) fileOf(ctx context.Context, p *peerState, id flash.FileID) ([
 	case status != http.StatusOK:
 		return nil, nil
 	}
-	return archive.DecodeFrames(bytes.NewReader(body))
+	return archive.DecodeFrames(body)
 }

@@ -582,3 +582,66 @@ func TestCursorPersistence(t *testing.T) {
 		t.Fatalf("pull after restart = (%d chunks, lag %d, %v), want (0, 0, nil)", n, lag, err)
 	}
 }
+
+// TestPullRefusesOverBudgetDelta: a peer that ignores max= and answers
+// /repl/delta with more than the budget plus Delta's frame of slack per
+// shard fails the pull — nothing ingested, cursor where it was — and the
+// same peer honouring the budget converges from that cursor.
+func TestPullRefusesOverBudgetDelta(t *testing.T) {
+	src, err := archive.Open(filepath.Join(t.TempDir(), "src"), archive.Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer src.Close()
+	var batch []*flash.Chunk
+	for seq := uint32(0); seq < 40; seq++ {
+		batch = append(batch, mkChunk(flash.FileID(seq%4+1), 1, seq, float64(seq), float64(seq+1), 100))
+	}
+	mustIngest(t, src, batch)
+	var greedy atomic.Bool
+	honest := archive.NewHandler(src)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if greedy.Load() && r.URL.Path == "/repl/delta" {
+			q := r.URL.Query()
+			q.Del("max") // the whole log in one body
+			r.URL.RawQuery = q.Encode()
+		}
+		honest.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+
+	dst, err := archive.Open(filepath.Join(t.TempDir(), "dst"), archive.Options{Shards: 2})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer dst.Close()
+	st, err := New(dst, Config{Self: "dst", Peers: []Peer{{Name: "src", URL: srv.URL}}, MaxDeltaBytes: 1 << 10})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer st.Close()
+
+	greedy.Store(true)
+	n, _, err := st.repl.pullOnce(context.Background(), st.peers[0])
+	if err == nil || n != 0 || !strings.Contains(err.Error(), "cap") {
+		t.Fatalf("pull of an over-budget delta = (%d chunks, %v), want a refusal naming the cap", n, err)
+	}
+	if cur := st.repl.cursor("src"); len(cur) != 0 {
+		t.Fatalf("cursor advanced to %v on a refused pull", cur)
+	}
+	if got := dst.Stats(); got.Chunks != 0 || got.SegmentBytes != 0 {
+		t.Fatalf("refused pull left %d chunks, %d segment bytes", got.Chunks, got.SegmentBytes)
+	}
+
+	greedy.Store(false)
+	if err := st.ReplicateOnce(context.Background()); err != nil {
+		t.Fatalf("ReplicateOnce: %v", err)
+	}
+	want, _ := src.Manifest()
+	if got, _ := dst.Manifest(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("holdings differ after pulling within budget")
+	}
+	if pulls := st.peers[0].cPulls.Value(); pulls < 4 {
+		t.Fatalf("%d pulls moved %d bytes under a 1 KiB budget", pulls, src.Stats().SegmentBytes)
+	}
+}

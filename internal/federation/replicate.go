@@ -172,24 +172,29 @@ func (r *replicator) pullOnce(ctx context.Context, p *peerState) (chunks int, la
 		return 0, 0, fmt.Errorf("federation: delta from %s: %w", p.Name, err)
 	}
 	lag, _ = strconv.ParseInt(resp.Header.Get(archive.ReplLagHeader), 10, 64)
-	// Any decode error drops the whole batch without advancing the
-	// cursor: the next pull re-fetches the same range and the dedup
-	// path absorbs whatever half already landed.
-	batch, err := archive.DecodeFrames(resp.Body)
+	// Delta may overshoot max= by a frame per shard (its progress rule);
+	// anything longer is a peer ignoring the budget. That, a torn body or
+	// any framing error drops the whole batch without advancing the
+	// cursor: the next pull re-fetches the same range and the dedup path
+	// absorbs whatever already landed.
+	body, err := readCapped(resp, r.st.cfg.MaxDeltaBytes+int64(len(next))*archive.MaxFrameBytes)
 	if err != nil {
 		return 0, lag, fmt.Errorf("federation: delta from %s: %w", p.Name, err)
 	}
-	if len(batch) > 0 {
-		if _, err := r.st.store.Ingest(batch); err != nil {
-			return 0, lag, err
+	if len(body) > 0 {
+		// The delta is segment bytes and goes in as segment bytes.
+		rep, err := r.st.store.IngestFrames(body)
+		if err != nil {
+			return 0, lag, fmt.Errorf("federation: delta from %s: %w", p.Name, err)
 		}
+		chunks = rep.Added + rep.Duplicates + rep.Superseded
 	}
 	r.setCursor(p.Name, next)
 	r.save()
 	p.cPulls.Inc()
-	p.cPullChunks.Add(int64(len(batch)))
+	p.cPullChunks.Add(int64(chunks))
 	p.gLag.SetInt(lag)
-	return len(batch), lag, nil
+	return chunks, lag, nil
 }
 
 // run is the per-source anti-entropy loop: pull until caught up, sleep

@@ -142,29 +142,62 @@ func (c *Chunk) AppendRecord(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// DecodeRecord decodes one compact record from the front of buf, returning
-// the chunk and the number of bytes consumed. The chunk is drawn from the
-// chunk pool. A buffer that is too short for the declared payload is an
-// error (a truncated record), as is a payload length over PayloadSize.
-func DecodeRecord(buf []byte) (*Chunk, int, error) {
+// RecordHeader is the metadata at the head of a compact record: every
+// Chunk field but the payload, which follows it as PayloadLen bytes.
+type RecordHeader struct {
+	File       FileID
+	Origin     int32
+	Seq        uint32
+	Start      sim.Time
+	End        sim.Time
+	PayloadLen int
+}
+
+// ParseRecordHeader validates the compact record at the front of buf and
+// returns its header and total size without copying anything. A buffer
+// that is too short for the declared payload is an error (a truncated
+// record), as is a payload length over PayloadSize. The payload is
+// buf[MinRecordSize:size].
+func ParseRecordHeader(buf []byte) (h RecordHeader, size int, err error) {
 	if len(buf) < headerSize {
-		return nil, 0, fmt.Errorf("flash: short record: %d bytes", len(buf))
+		return h, 0, fmt.Errorf("flash: short record: %d bytes", len(buf))
 	}
 	n := int(binary.BigEndian.Uint16(buf[28:]))
 	if n > PayloadSize {
-		return nil, 0, fmt.Errorf("flash: corrupt record: payload length %d", n)
+		return h, 0, fmt.Errorf("flash: corrupt record: payload length %d", n)
 	}
 	if len(buf) < headerSize+n {
-		return nil, 0, fmt.Errorf("flash: truncated record: %d of %d bytes", len(buf), headerSize+n)
+		return h, 0, fmt.Errorf("flash: truncated record: %d of %d bytes", len(buf), headerSize+n)
 	}
+	h = RecordHeader{
+		File:       FileID(binary.BigEndian.Uint32(buf[0:])),
+		Origin:     int32(binary.BigEndian.Uint32(buf[4:])),
+		Seq:        binary.BigEndian.Uint32(buf[8:]),
+		Start:      sim.Time(binary.BigEndian.Uint64(buf[12:])),
+		End:        sim.Time(binary.BigEndian.Uint64(buf[20:])),
+		PayloadLen: n,
+	}
+	return h, headerSize + n, nil
+}
+
+// DecodeRecord decodes one compact record from the front of buf, returning
+// the chunk and the number of bytes consumed: ParseRecordHeader's checks,
+// then RecordHeader.Chunk's payload copy.
+func DecodeRecord(buf []byte) (*Chunk, int, error) {
+	h, size, err := ParseRecordHeader(buf)
+	if err != nil {
+		return nil, 0, err
+	}
+	return h.Chunk(buf[headerSize:size]), size, nil
+}
+
+// Chunk builds the record's chunk from its header and a copy of payload,
+// drawn from the chunk pool.
+func (h RecordHeader) Chunk(payload []byte) *Chunk {
 	c := NewChunk()
-	c.File = FileID(binary.BigEndian.Uint32(buf[0:]))
-	c.Origin = int32(binary.BigEndian.Uint32(buf[4:]))
-	c.Seq = binary.BigEndian.Uint32(buf[8:])
-	c.Start = sim.Time(binary.BigEndian.Uint64(buf[12:]))
-	c.End = sim.Time(binary.BigEndian.Uint64(buf[20:]))
-	c.Data = append(c.Data[:0], buf[headerSize:headerSize+n]...)
-	return c, headerSize + n, nil
+	c.File, c.Origin, c.Seq, c.Start, c.End = h.File, h.Origin, h.Seq, h.Start, h.End
+	c.Data = append(c.Data[:0], payload...)
+	return c
 }
 
 // Store is the circular block queue. The zero value is unusable; use

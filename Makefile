@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-archive bench-city figures profile trace-smoke chaos-smoke archive-smoke shard-smoke metrics-smoke archive-load survivability federation-smoke
+.PHONY: build test check bench bench-city figures profile trace-smoke chaos-smoke archive-smoke shard-smoke metrics-smoke survivability federation-smoke
 
 build:
 	$(GO) build ./...
@@ -69,9 +69,8 @@ shard-smoke:
 	sh scripts/shard_smoke.sh
 
 # metrics-smoke scrapes /metrics end to end (also part of `check`): the
-# sharded sim's PDES + radio series mid-run, the archive server's HTTP +
-# store series with -access-log on, and the load harness's client-vs-
-# server p99 cross-check.
+# sharded sim's PDES + radio series mid-run and the archive server's HTTP
+# + store series with -access-log on.
 metrics-smoke:
 	sh scripts/metrics_smoke.sh
 
@@ -82,25 +81,12 @@ metrics-smoke:
 bench-city:
 	sh scripts/bench_city.sh
 
-# bench-archive regenerates BENCH_archive.json (ingest throughput,
-# dedup fast path, interval queries, cold/warm reassembly, index
-# rebuild on open).
-bench-archive:
-	sh scripts/bench_archive.sh
-
 # federation-smoke boots a 3-station federated cluster (also part of
 # `check`): split city tours vs a single-station reference, byte-for-
-# byte federated read diffs, one station killed and rejoined (cursor
-# catch-up), and the federated query storm into BENCH_federation.json.
+# byte federated read diffs, and one station killed and rejoined (cursor
+# catch-up).
 federation-smoke:
 	sh scripts/federation_smoke.sh
-
-# archive-load regenerates BENCH_archive_http.json: the 1M-chunk open
-# bench (snapshot vs rescan) and HTTP ingest/query load at >= 1000
-# concurrent clients, then gates the in-process archive benchmarks at
-# <= 2% ns/op regression vs BENCH_archive.json.
-archive-load:
-	sh scripts/archive_load.sh
 
 # profile runs the indoor scenario under the CPU and allocation
 # profilers; inspect with `go tool pprof cpu.pprof` / `mem.pprof`.

@@ -134,7 +134,6 @@ func main() {
 		os.Exit(1)
 	}
 	var api http.Handler
-	endpointOf := archive.EndpointOf
 	if *peersSpec != "" {
 		// Federated: this station answers reads from the whole
 		// federation, replicates from its ring sources, and keeps serving
@@ -165,13 +164,12 @@ func main() {
 		fed.Start()
 		defer fed.Close()
 		api = fed.Handler()
-		endpointOf = federation.EndpointOf
 		fmt.Printf("federation: station %q, %d peers, sources %v\n",
 			self, len(peers), fed.ReplicationSources())
 	} else {
-		api = archive.NewHandler(store)
+		api = archive.NewHandler(store, nil)
 	}
-	api = telemetry.Middleware(reg, endpointOf, api)
+	api = telemetry.Middleware(reg, archive.EndpointOf, api)
 	http.Handle("/", telemetry.AccessLog(logger, api))
 	http.Handle("/metrics", telemetry.Handler(reg))
 	fmt.Printf("serving on http://%s (endpoints: /files /query /stats /metrics /debug/pprof)\n", ln.Addr())

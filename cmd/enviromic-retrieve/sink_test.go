@@ -53,7 +53,7 @@ func TestFlushSplitsTourIntoBoundedBodies(t *testing.T) {
 	}
 	defer store.Close()
 	var posts atomic.Int32
-	handler := archive.NewHandler(store)
+	handler := archive.NewHandler(store, nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		posts.Add(1)
 		handler.ServeHTTP(w, r)

@@ -748,16 +748,38 @@ func (s *Store) FileErasure(id flash.FileID) (*retrieval.File, retrieval.DecodeR
 	if id&erasure.ParityFileBit != 0 {
 		return f, retrieval.DecodeReport{}, nil
 	}
-	pf, perr := s.File(id | erasure.ParityFileBit)
-	if perr != nil {
+	pf, err := s.FileIfHeld(id | erasure.ParityFileBit)
+	if err != nil {
+		return nil, retrieval.DecodeReport{}, err
+	}
+	if pf == nil {
 		return f, retrieval.DecodeReport{}, nil // no parity archived
 	}
-	holdings := map[int][]*flash.Chunk{0: f.Chunks, 1: pf.Chunks}
-	files, rep := retrieval.ReassembleErasure(holdings, retrieval.Query{Files: map[flash.FileID]bool{id: true}})
-	if df := files[id]; df != nil {
-		return df, rep, nil
+	return DecodeErasure(id, map[int][]*flash.Chunk{0: f.Chunks, 1: pf.Chunks})
+}
+
+// FileIfHeld is File for a reader that can do without — a parity sibling,
+// a file some federation peer may hold instead: (nil, nil) when the store
+// does not list it. Only ErrNotFound means that; a listed file that cannot
+// be read (CRC, I/O, closed store) is an error, never "no parity archived".
+func (s *Store) FileIfHeld(id flash.FileID) (*retrieval.File, error) {
+	f, err := s.File(id)
+	if errors.Is(err, ErrNotFound) {
+		return nil, nil
 	}
-	return f, rep, nil
+	return f, err
+}
+
+// DecodeErasure is the tail of every erasure-aware read: file id
+// reassembled from holdings — its chunks and its parity sibling's, from
+// wherever they were read — with what the parity reconstructs merged in.
+// ErrNotFound when holdings neither has nor can decode a chunk of the file.
+func DecodeErasure(id flash.FileID, holdings map[int][]*flash.Chunk) (*retrieval.File, retrieval.DecodeReport, error) {
+	files, rep := retrieval.ReassembleErasure(holdings, retrieval.Query{Files: map[flash.FileID]bool{id: true}})
+	if files[id] == nil {
+		return nil, rep, ErrNotFound
+	}
+	return files[id], rep, nil
 }
 
 // reassemble reads the file's chunks and rebuilds it, caching the result.

@@ -247,7 +247,7 @@ func TestCompactHTTPEndpoint(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Shards: 1})
 	defer s.Close()
 	supersedeWorkload(t, s, 2, 5)
-	srv := httptest.NewServer(NewHandler(s))
+	srv := httptest.NewServer(NewHandler(s, nil))
 	defer srv.Close()
 
 	resp, err := srv.Client().Post(srv.URL+"/compact", "application/json", nil)

@@ -2,9 +2,11 @@ package archive
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -18,6 +20,30 @@ import (
 	"enviromic/internal/trace"
 	"enviromic/internal/wav"
 )
+
+// LocalHeader marks a request that must be answered from the local store
+// only: fan-out requests carry it, so a peer never re-fans-out.
+// PartialHeader names the peers a federated response is missing; its
+// absence means the answer covers every healthy station.
+const (
+	LocalHeader   = "X-Enviromic-Local"
+	PartialHeader = "X-Federation-Partial"
+)
+
+// Source is what the read endpoints answer from: the local store, or a
+// federation's merged view of several. Each method is a Store read
+// (Detail is Info + File, Audio is FileErasure) plus the names of the
+// stations whose holdings are missing from the answer — none, for a
+// single store.
+type Source interface {
+	Files(ctx context.Context) (infos []FileInfo, missing []string)
+	Query(ctx context.Context, from, to sim.Time, origins map[int32]bool) (infos []FileInfo, missing []string)
+	// Detail's chunks are in span order: by (start, origin, seq).
+	Detail(ctx context.Context, id flash.FileID) (fi FileInfo, chunks []ChunkKey, missing []string, err error)
+	Gaps(ctx context.Context, id flash.FileID, tolerance time.Duration) (gaps []Gap, missing []string, err error)
+	// Audio's file is erasure-decoded, and shared: read-only.
+	Audio(ctx context.Context, id flash.FileID) (f *retrieval.File, missing []string, err error)
+}
 
 // NewHandler returns the archive's HTTP query service:
 //
@@ -36,12 +62,16 @@ import (
 //	                                  If-None-Match with the current tag answers an empty 304
 //	GET  /repl/file/{id}              one file's chunks in wire framing
 //
+// The five read endpoints answer from federated unless it is nil (a
+// station with no peers) or the request carries LocalHeader; then, like
+// every other endpoint, from s.
+//
 // Times in query parameters are Go durations since simulation start
 // ("90s", "1m30s") or bare seconds ("90", "90.5"). The handler is safe
 // for concurrent use; mount it under "/" next to pprof/expvar the same
 // way enviromic-sim's -http debug mux is wired.
-func NewHandler(s *Store) http.Handler {
-	h := &handler{store: s, maxIngest: MaxIngestBytes}
+func NewHandler(s *Store, federated Source) http.Handler {
+	h := &handler{store: s, federated: federated, maxIngest: MaxIngestBytes}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /files", h.files)
 	mux.HandleFunc("GET /files/{id}", h.file)
@@ -60,12 +90,55 @@ func NewHandler(s *Store) http.Handler {
 
 type handler struct {
 	store     *Store
-	maxIngest int64 // MaxIngestBytes; a field so a test can reach the bound
+	federated Source // nil: no peers
+	maxIngest int64  // MaxIngestBytes; a field so a test can reach the bound
+}
+
+func (h *handler) source(r *http.Request) Source {
+	if h.federated == nil || r.Header.Get(LocalHeader) != "" {
+		return localSource{h.store}
+	}
+	return h.federated
+}
+
+type localSource struct{ s *Store }
+
+func (l localSource) Files(context.Context) ([]FileInfo, []string) { return l.s.Files(), nil }
+
+func (l localSource) Query(_ context.Context, from, to sim.Time, origins map[int32]bool) ([]FileInfo, []string) {
+	return l.s.Query(from, to, origins), nil
+}
+
+func (l localSource) Detail(_ context.Context, id flash.FileID) (FileInfo, []ChunkKey, []string, error) {
+	fi, err := l.s.Info(id)
+	if err != nil {
+		return FileInfo{}, nil, nil, err
+	}
+	f, err := l.s.File(id)
+	if err != nil {
+		return FileInfo{}, nil, nil, err
+	}
+	chunks := make([]ChunkKey, len(f.Chunks))
+	for i, c := range f.Chunks {
+		chunks[i] = ChunkKey{Origin: c.Origin, Seq: c.Seq, Start: int64(c.Start), End: int64(c.End), Bytes: int64(len(c.Data))}
+	}
+	return fi, chunks, nil, nil
+}
+
+func (l localSource) Gaps(_ context.Context, id flash.FileID, tolerance time.Duration) ([]Gap, []string, error) {
+	gaps, err := l.s.Gaps(id, tolerance)
+	return gaps, nil, err
+}
+
+func (l localSource) Audio(_ context.Context, id flash.FileID) (*retrieval.File, []string, error) {
+	f, _, err := l.s.FileErasure(id)
+	return f, nil, err
 }
 
 // EndpointOf maps an archive request to its route pattern ("/files/{id}/wav"
 // rather than the concrete path) so the telemetry middleware's per-endpoint
-// series stay low-cardinality. Unknown paths collapse to "other".
+// series stay low-cardinality; /metrics and a station's /federation are
+// mounted beside the handler. Unknown paths collapse to "other".
 func EndpointOf(r *http.Request) string {
 	p := r.URL.Path
 	switch {
@@ -87,7 +160,7 @@ func EndpointOf(r *http.Request) string {
 		default:
 			return "/repl/file/{id}"
 		}
-	case p == "/query", p == "/ingest", p == "/compact", p == "/stats", p == "/metrics":
+	case p == "/query", p == "/ingest", p == "/compact", p == "/stats", p == "/metrics", p == "/federation":
 		return p
 	default:
 		return "other"
@@ -120,6 +193,14 @@ func InfoJSON(fi FileInfo) FileInfoJSON {
 	}
 }
 
+type chunkJSON struct {
+	Origin   int32   `json:"origin"`
+	Seq      uint32  `json:"seq"`
+	StartSec float64 `json:"start_s"`
+	EndSec   float64 `json:"end_s"`
+	Bytes    int64   `json:"bytes"`
+}
+
 type gapJSON struct {
 	StartSec float64 `json:"start_s"`
 	EndSec   float64 `json:"end_s"`
@@ -133,38 +214,7 @@ func WriteJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// ParseTime accepts a Go duration ("90s") or bare seconds ("90.5") since
-// simulation start.
-func ParseTime(s string) (sim.Time, error) {
-	if s == "" {
-		return 0, nil
-	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return sim.At(d), nil
-	}
-	if sec, err := strconv.ParseFloat(s, 64); err == nil {
-		return sim.Time(sec * float64(time.Second)), nil
-	}
-	return 0, fmt.Errorf("bad time %q (want a duration like 90s or seconds)", s)
-}
-
-func (h *handler) fileID(r *http.Request) (flash.FileID, error) {
-	raw := r.PathValue("id")
-	id, err := strconv.ParseUint(raw, 10, 32)
-	if err != nil {
-		return 0, fmt.Errorf("bad file id %q", raw)
-	}
-	return flash.FileID(id), nil
-}
-
-func (h *handler) files(w http.ResponseWriter, r *http.Request) {
-	infos := h.store.Files()
+func writeInfos(w http.ResponseWriter, infos []FileInfo) {
 	out := make([]FileInfoJSON, 0, len(infos))
 	for _, fi := range infos {
 		out = append(out, InfoJSON(fi))
@@ -172,48 +222,96 @@ func (h *handler) files(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, out)
 }
 
-func (h *handler) file(w http.ResponseWriter, r *http.Request) {
-	id, err := h.fileID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
+func httpError(w http.ResponseWriter, code int, format string, args ...any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+}
+
+// stampPartial writes the partial contract: the stations a Source said its
+// answer is missing. It must run before any body, whatever the status.
+func stampPartial(w http.ResponseWriter, missing []string) {
+	if len(missing) > 0 {
+		w.Header().Set(PartialHeader, strings.Join(missing, ","))
 	}
-	fi, err := h.store.Info(id)
-	if errors.Is(err, ErrNotFound) {
+}
+
+// readOK starts the response to a read of file id: the partial contract,
+// then, if the read failed, its error — 404 for ErrNotFound, 500 for
+// anything else — and false.
+func readOK(w http.ResponseWriter, id flash.FileID, missing []string, err error) bool {
+	stampPartial(w, missing)
+	switch {
+	case errors.Is(err, ErrNotFound):
 		httpError(w, http.StatusNotFound, "file %d not found", id)
-		return
-	}
-	f, err := h.store.File(id)
-	if err != nil {
+	case err != nil:
 		httpError(w, http.StatusInternalServerError, "%v", err)
+	}
+	return err == nil
+}
+
+// parseTime accepts a Go duration ("90s") or bare seconds ("90.5") since
+// simulation start.
+func parseTime(s string) (sim.Time, error) {
+	if s == "" {
+		return 0, nil
+	}
+	if d, err := time.ParseDuration(s); err == nil {
+		return sim.At(d), nil
+	}
+	// Seconds must land inside int64 nanoseconds; the comparisons also
+	// refuse NaN.
+	if sec, err := strconv.ParseFloat(s, 64); err == nil {
+		if ns := sec * float64(time.Second); ns >= math.MinInt64 && ns < math.MaxInt64 {
+			return sim.Time(ns), nil
+		}
+	}
+	return 0, fmt.Errorf("bad time %q (want a duration like 90s or seconds)", s)
+}
+
+// fileID parses the {id} path segment; a malformed one it answers itself.
+func fileID(w http.ResponseWriter, r *http.Request) (flash.FileID, bool) {
+	raw := r.PathValue("id")
+	id, err := strconv.ParseUint(raw, 10, 32)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "bad file id %q", raw)
+	}
+	return flash.FileID(id), err == nil
+}
+
+func (h *handler) files(w http.ResponseWriter, r *http.Request) {
+	infos, missing := h.source(r).Files(r.Context())
+	stampPartial(w, missing)
+	writeInfos(w, infos)
+}
+
+func (h *handler) file(w http.ResponseWriter, r *http.Request) {
+	id, ok := fileID(w, r)
+	if !ok {
 		return
 	}
-	type chunkJSON struct {
-		Origin   int32   `json:"origin"`
-		Seq      uint32  `json:"seq"`
-		StartSec float64 `json:"start_s"`
-		EndSec   float64 `json:"end_s"`
-		Bytes    int     `json:"bytes"`
+	fi, chunks, missing, err := h.source(r).Detail(r.Context(), id)
+	if !readOK(w, id, missing, err) {
+		return
 	}
-	chunks := make([]chunkJSON, 0, len(f.Chunks))
-	for _, c := range f.Chunks {
-		chunks = append(chunks, chunkJSON{
+	list := make([]chunkJSON, 0, len(chunks))
+	for _, c := range chunks {
+		list = append(list, chunkJSON{
 			Origin: c.Origin, Seq: c.Seq,
-			StartSec: c.Start.Seconds(), EndSec: c.End.Seconds(),
-			Bytes: len(c.Data),
+			StartSec: sim.Time(c.Start).Seconds(), EndSec: sim.Time(c.End).Seconds(),
+			Bytes: c.Bytes,
 		})
 	}
 	WriteJSON(w, struct {
 		FileInfoJSON
 		DurationSec float64     `json:"duration_s"`
 		ChunkList   []chunkJSON `json:"chunk_list"`
-	}{InfoJSON(fi), f.Duration().Seconds(), chunks})
+	}{InfoJSON(fi), fi.End.Sub(fi.Start).Seconds(), list})
 }
 
 func (h *handler) gaps(w http.ResponseWriter, r *http.Request) {
-	id, err := h.fileID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	id, ok := fileID(w, r)
+	if !ok {
 		return
 	}
 	tolerance := h.store.GapTolerance()
@@ -225,9 +323,8 @@ func (h *handler) gaps(w http.ResponseWriter, r *http.Request) {
 		}
 		tolerance = d
 	}
-	gaps, err := h.store.Gaps(id, tolerance)
-	if errors.Is(err, ErrNotFound) {
-		httpError(w, http.StatusNotFound, "file %d not found", id)
+	gaps, missing, err := h.source(r).Gaps(r.Context(), id, tolerance)
+	if !readOK(w, id, missing, err) {
 		return
 	}
 	out := make([]gapJSON, 0, len(gaps))
@@ -254,16 +351,19 @@ func (h *handler) gaps(w http.ResponseWriter, r *http.Request) {
 	}{id, tolerance.Seconds(), out, requery})
 }
 
+// /wav's rate must lie in [1, maxSampleRate]: int(rate) is what the WAV
+// header states, duration × rate what the stitch allocates.
+const maxSampleRate = 192000
+
 func (h *handler) wav(w http.ResponseWriter, r *http.Request) {
-	id, err := h.fileID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	id, ok := fileID(w, r)
+	if !ok {
 		return
 	}
 	rate := mote.DefaultSampleRate
 	if s := r.URL.Query().Get("rate"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
-		if err != nil || v <= 0 {
+		if err != nil || !(v >= 1 && v <= maxSampleRate) { // NaN fails both
 			httpError(w, http.StatusBadRequest, "bad rate %q", s)
 			return
 		}
@@ -271,13 +371,8 @@ func (h *handler) wav(w http.ResponseWriter, r *http.Request) {
 	}
 	// Erasure-aware read: gaps coverable by archived parity fragments
 	// are reconstructed before stitching.
-	f, _, err := h.store.FileErasure(id)
-	if errors.Is(err, ErrNotFound) {
-		httpError(w, http.StatusNotFound, "file %d not found", id)
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "%v", err)
+	f, missing, err := h.source(r).Audio(r.Context(), id)
+	if !readOK(w, id, missing, err) {
 		return
 	}
 	samples := trace.Stitch(f, rate)
@@ -287,22 +382,19 @@ func (h *handler) wav(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "audio/wav")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=file-%d.wav", id))
-	if err := wav.Write(w, samples, int(rate)); err != nil {
-		// Headers are gone; nothing to do but log-level surface via 500
-		// if nothing was written yet — in practice wav.Write fails only
-		// on bad input, caught above.
-		httpError(w, http.StatusInternalServerError, "%v", err)
-	}
+	// A failure from here on is the connection's: the status and part of
+	// the audio are out, and nothing appended to them would help.
+	_ = wav.Write(w, samples, int(rate))
 }
 
 func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	from, err := ParseTime(q.Get("from"))
+	from, err := parseTime(q.Get("from"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "from: %v", err)
 		return
 	}
-	to, err := ParseTime(q.Get("to"))
+	to, err := parseTime(q.Get("to"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "to: %v", err)
 		return
@@ -323,12 +415,9 @@ func (h *handler) query(w http.ResponseWriter, r *http.Request) {
 			origins[int32(v)] = true
 		}
 	}
-	infos := h.store.Query(from, to, origins)
-	out := make([]FileInfoJSON, 0, len(infos))
-	for _, fi := range infos {
-		out = append(out, InfoJSON(fi))
-	}
-	WriteJSON(w, out)
+	infos, missing := h.source(r).Query(r.Context(), from, to, origins)
+	stampPartial(w, missing)
+	writeInfos(w, infos)
 }
 
 // MaxIngestBytes bounds one POST /ingest body (about a quarter of a
@@ -487,9 +576,8 @@ func (h *handler) replManifest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (h *handler) replFile(w http.ResponseWriter, r *http.Request) {
-	id, err := h.fileID(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
+	id, ok := fileID(w, r)
+	if !ok {
 		return
 	}
 	frames, err := h.store.FileFrames(id)

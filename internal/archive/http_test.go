@@ -29,7 +29,7 @@ func newTestServer(t *testing.T) (*Store, *httptest.Server) {
 		mkChunk(2, 4, 0, 10, 11),
 		mkChunk(2, 5, 1, 11, 12),
 	})
-	srv := httptest.NewServer(NewHandler(s))
+	srv := httptest.NewServer(NewHandler(s, nil))
 	t.Cleanup(srv.Close)
 	t.Cleanup(func() { s.Close() })
 	return s, srv
@@ -136,6 +136,33 @@ func TestHTTPWav(t *testing.T) {
 	// File 1 spans 4s; at 2730 Hz that is ~10920 samples.
 	if len(samples) < 10000 || len(samples) > 12000 {
 		t.Fatalf("samples = %d, want ~10920", len(samples))
+	}
+}
+
+// cutWriter fails the response's second write — the WAV samples, after the
+// header — and takes whatever else the handler has to say.
+type cutWriter struct {
+	httptest.ResponseRecorder
+	writes int
+}
+
+func (w *cutWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 2 {
+		return 0, errors.New("connection reset")
+	}
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestHTTPWavCutShortAppendsNothing: once the WAV header is out, a failed
+// write must not put a JSON error into the audio body.
+func TestHTTPWavCutShortAppendsNothing(t *testing.T) {
+	s, _ := newTestServer(t)
+	w := &cutWriter{ResponseRecorder: *httptest.NewRecorder()}
+	req := httptest.NewRequest(http.MethodGet, "/files/1/wav", nil)
+	NewHandler(s, nil).ServeHTTP(w, req)
+	if w.Code != http.StatusOK || w.Header().Get("Content-Type") != "audio/wav" || w.Body.Len() != 44 || w.writes != 2 {
+		t.Fatalf("HTTP %d %q, %d body bytes after %d writes; want the 44-byte WAV header and nothing else",
+			w.Code, w.Header().Get("Content-Type"), w.Body.Len(), w.writes)
 	}
 }
 

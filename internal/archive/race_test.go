@@ -105,7 +105,7 @@ func TestConcurrentHTTP(t *testing.T) {
 	s := openTest(t, t.TempDir(), Options{Shards: 4})
 	defer s.Close()
 	mustIngest(t, s, []*flash.Chunk{mkChunk(1, 0, 0, 0, 1)})
-	srv := httptest.NewServer(NewHandler(s))
+	srv := httptest.NewServer(NewHandler(s, nil))
 	defer srv.Close()
 
 	var wg sync.WaitGroup

@@ -95,6 +95,7 @@ func TestEndpointOf(t *testing.T) {
 		"/ingest":          "/ingest",
 		"/stats":           "/stats",
 		"/metrics":         "/metrics",
+		"/federation":      "/federation",
 		"/debug/pprof/":    "other",
 		"/files2/whatever": "other",
 	}

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -344,14 +343,13 @@ func (st *Station) federatedChunks(ctx context.Context, endpoint string, ids []f
 				asks = append(asks, ask{peer: p, id: id})
 			}
 		}
-		f, err := st.store.File(id)
-		if errors.Is(err, archive.ErrNotFound) {
-			continue
-		}
+		f, err := st.store.FileIfHeld(id)
 		if err != nil {
-			return nil, nil, err
+			return nil, failed, err
 		}
-		absorb(f.Chunks)
+		if f != nil {
+			absorb(f.Chunks)
+		}
 	}
 	if len(asks) > 0 {
 		st.round(endpoint, len(asks), func(i int) {

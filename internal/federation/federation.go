@@ -48,14 +48,12 @@ import (
 	"enviromic/internal/telemetry"
 )
 
-// LocalHeader marks a request that must be answered from the local
-// store only. Fan-out requests carry it so a peer never re-fans-out
-// (no recursion, no amplification).
-const LocalHeader = "X-Enviromic-Local"
-
-// PartialHeader names the peers a federated response is missing. Its
-// absence means the answer covers every healthy station.
-const PartialHeader = "X-Federation-Partial"
+// The headers of the federated read contract; see the archive package,
+// whose handlers read the one and write the other.
+const (
+	LocalHeader   = archive.LocalHeader
+	PartialHeader = archive.PartialHeader
+)
 
 // Peer is one remote station.
 type Peer struct {
@@ -287,16 +285,6 @@ func (st *Station) healthyPeers() []*peerState {
 		}
 	}
 	return out
-}
-
-// EndpointOf maps a federated request to its route pattern for the
-// telemetry middleware — archive.EndpointOf plus the /federation
-// status route.
-func EndpointOf(r *http.Request) string {
-	if r.URL.Path == "/federation" {
-		return "/federation"
-	}
-	return archive.EndpointOf(r)
 }
 
 // sleep waits for d or until ctx is done.

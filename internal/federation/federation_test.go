@@ -51,7 +51,7 @@ func (ts *testStation) boot(t testing.TB) {
 		t.Fatalf("New(%s): %v", ts.name, err)
 	}
 	ts.store, ts.st = store, st
-	ts.handler.Store(st.Handler())
+	ts.handler.Store(http.HandlerFunc(st.Handler().ServeHTTP)) // one concrete type for the atomic.Value
 }
 
 func (ts *testStation) shutdown() {
@@ -130,7 +130,7 @@ func refStation(t testing.TB, chunks []*flash.Chunk) (*httptest.Server, *archive
 	if _, err := store.Ingest(chunks); err != nil {
 		t.Fatalf("ref Ingest: %v", err)
 	}
-	srv := httptest.NewServer(archive.NewHandler(store))
+	srv := httptest.NewServer(archive.NewHandler(store, nil))
 	t.Cleanup(func() { srv.Close(); store.Close() })
 	return srv, store
 }
@@ -524,7 +524,7 @@ func TestCursorPersistence(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer srcStore.Close()
-	srcSrv := httptest.NewServer(archive.NewHandler(srcStore))
+	srcSrv := httptest.NewServer(archive.NewHandler(srcStore, nil))
 	defer srcSrv.Close()
 	mustIngest(t, srcStore, []*flash.Chunk{mkChunk(1, 1, 0, 0, 1, 0)})
 
@@ -599,7 +599,7 @@ func TestPullRefusesOverBudgetDelta(t *testing.T) {
 	}
 	mustIngest(t, src, batch)
 	var greedy atomic.Bool
-	honest := archive.NewHandler(src)
+	honest := archive.NewHandler(src, nil)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if greedy.Load() && r.URL.Path == "/repl/delta" {
 			q := r.URL.Query()

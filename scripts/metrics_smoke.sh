@@ -7,10 +7,7 @@
 #   2. serve an archive over HTTP with -access-log and scrape /metrics:
 #      the per-endpoint HTTP series, the store gauges, and the pipeline
 #      histograms must be exposed, and each request must produce one
-#      structured JSON log line,
-#   3. run a small enviromic-archive-load storm, which itself scrapes
-#      /metrics and cross-checks the client p99 against the server-side
-#      endpoint histogram (the run fails on gross disagreement).
+#      structured JSON log line.
 # Exits non-zero on the first failure. Usage: scripts/metrics_smoke.sh
 set -e
 cd "$(dirname "$0")/.."
@@ -28,7 +25,6 @@ trap cleanup EXIT INT TERM
 
 go build -o "$tmp/sim" ./cmd/enviromic-sim
 go build -o "$tmp/archive" ./cmd/enviromic-archive
-go build -o "$tmp/load" ./cmd/enviromic-archive-load
 
 # wait_addr <logfile> <sed-pattern> <pid>: poll until the server
 # announces its bound address, echo it.
@@ -115,12 +111,5 @@ grep -q '"path":"/files"' "$tmp/server.log" || {
     echo "FAIL: access log missing the /files request"; exit 1; }
 kill "$server_pid" && wait "$server_pid" 2> /dev/null || true
 server_pid=""
-
-echo "== 3. load storm cross-checks client p99 vs server histogram"
-"$tmp/load" -ingest-clients 4 -batches 2 -chunks 16 -clients 8 -requests 25 \
-    -shards 2 -out "$tmp/load.json" > /dev/null 2> "$tmp/load.log"
-grep -q '"server_p99_ms"' "$tmp/load.json" || {
-    echo "FAIL: load result carries no server-side p99"
-    cat "$tmp/load.log"; exit 1; }
 
 echo "metrics smoke: OK"

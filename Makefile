@@ -15,7 +15,9 @@ test:
 # fault-injection and dispersal suites (crash soak, disperse soak,
 # determinism regressions, RS property tests) under the race detector
 # by name, so a rename that orphans them from the main run still fails
-# loudly here. The survivability smoke gates the migration-vs-dispersal
+# loudly here. The archive and federation suites run three more times
+# under the race detector: held pulls, probes and shutdown are timing
+# dependent. The survivability smoke gates the migration-vs-dispersal
 # matrix end to end through the figures binary.
 check:
 	$(GO) vet ./...
@@ -26,6 +28,7 @@ check:
 	$(GO) test -run Chaos -race ./...
 	$(GO) test -run 'Erasure|Disperse|Survivability' -race ./internal/erasure/ ./internal/storage/ ./internal/core/ ./internal/retrieval/ ./internal/experiments/
 	$(GO) test -run ArchiveSoak -race -count=1 ./internal/archive/
+	$(GO) test -race -count=3 ./internal/archive/ ./internal/federation/
 	sh scripts/shard_smoke.sh
 	sh scripts/metrics_smoke.sh
 	sh scripts/survivability.sh
@@ -81,10 +84,12 @@ metrics-smoke:
 bench-city:
 	sh scripts/bench_city.sh
 
-# federation-smoke boots a 3-station federated cluster (also part of
-# `check`): split city tours vs a single-station reference, byte-for-
-# byte federated read diffs, and one station killed and rejoined (cursor
-# catch-up).
+# federation-smoke boots a 3-station federated cluster at the default
+# intervals (also part of `check`): split city tours vs a single-station
+# reference, convergence within 2 s of the last tour, byte-for-byte
+# federated read diffs, one station stopped by SIGTERM while pulls are
+# held on it (exit 0 within 1 s) and rejoined from its snapshots (cursor
+# catch-up within 3 s).
 federation-smoke:
 	sh scripts/federation_smoke.sh
 

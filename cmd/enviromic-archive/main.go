@@ -15,9 +15,13 @@
 // The -http listener also exposes the standard pprof and expvar debug
 // endpoints (/debug/pprof, /debug/vars), mirroring enviromic-sim's -http
 // wiring; archive op counters are published as expvar "archive_stats".
+// SIGTERM or SIGINT stops the server cleanly: held replication pulls are
+// answered, in-flight requests drain (at most 5 s), and the archive is
+// closed with fresh index snapshots, so the next start needs no scan.
 package main
 
 import (
+	"context"
 	"expvar"
 	"flag"
 	"fmt"
@@ -26,7 +30,9 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"enviromic/internal/archive"
@@ -52,7 +58,8 @@ func main() {
 			"federate with these stations: comma-separated [name=]host:port list; requires -http")
 		station = flag.String("station", "", "this station's name in the federation (default: the -http listen address)")
 		replF   = flag.Int("replication", 0, "replication factor R: each stripe lives on R stations (0 = full mesh)")
-		replInt = flag.Duration("repl-interval", 2*time.Second, "anti-entropy pull interval when caught up")
+		replInt = flag.Duration("repl-interval", 2*time.Second,
+			"longest a caught-up anti-entropy pull is held waiting for new frames, and least time between two empty pulls")
 		probeI  = flag.Duration("probe-interval", time.Second, "peer health probe interval")
 		fanoutT = flag.Duration("fanout-timeout", 2*time.Second, "per-peer timeout for federated fan-out and probes")
 	)
@@ -83,7 +90,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
 		os.Exit(1)
 	}
-	defer store.Close()
 
 	st := store.Stats()
 	fmt.Printf("archive %s: %d files, %d chunks, %d payload bytes in %d shards",
@@ -106,6 +112,7 @@ func main() {
 			rep.Shards, rep.ChunksKept, rep.ReclaimedBytes, rep.SegmentBytesNow)
 	}
 	if *httpAddr == "" {
+		closeStore(store)
 		return
 	}
 
@@ -133,7 +140,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
 		os.Exit(1)
 	}
-	var api http.Handler
+	var (
+		api http.Handler
+		fed *federation.Station
+	)
 	if *peersSpec != "" {
 		// Federated: this station answers reads from the whole
 		// federation, replicates from its ring sources, and keeps serving
@@ -147,7 +157,7 @@ func main() {
 		if self == "" {
 			self = ln.Addr().String()
 		}
-		fed, err := federation.New(store, federation.Config{
+		fed, err = federation.New(store, federation.Config{
 			Self:              self,
 			Peers:             peers,
 			ReplicationFactor: *replF,
@@ -162,7 +172,6 @@ func main() {
 			os.Exit(1)
 		}
 		fed.Start()
-		defer fed.Close()
 		api = fed.Handler()
 		fmt.Printf("federation: station %q, %d peers, sources %v\n",
 			self, len(peers), fed.ReplicationSources())
@@ -170,11 +179,62 @@ func main() {
 		api = archive.NewHandler(store, nil)
 	}
 	api = telemetry.Middleware(reg, archive.EndpointOf, api)
-	http.Handle("/", telemetry.AccessLog(logger, api))
+	// stopping ends the requests that hold (a caught-up peer's
+	// /repl/delta): Shutdown waits for handlers, it does not cancel them.
+	stopping, stop := context.WithCancel(context.Background())
+	http.Handle("/", telemetry.AccessLog(logger, endOnStop(stopping, api)))
 	http.Handle("/metrics", telemetry.Handler(reg))
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, os.Interrupt)
+	srv := &http.Server{}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	fmt.Printf("serving on http://%s (endpoints: /files /query /stats /metrics /debug/pprof)\n", ln.Addr())
-	if err := http.Serve(ln, nil); err != nil {
+	select {
+	case err := <-served:
 		fmt.Fprintf(os.Stderr, "enviromic-archive: %v\n", err)
+		os.Exit(1)
+	case sig := <-sigs:
+		fmt.Printf("%v: draining\n", sig)
+	}
+	// Wake the held pulls, let in-flight requests finish, stop
+	// replicating, then close the store: its final snapshots are what
+	// let the next start skip the segment scan.
+	stop()
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "enviromic-archive: drain: %v\n", err)
+	}
+	if fed != nil {
+		fed.Close()
+	}
+	closeStore(store)
+}
+
+// drainTimeout bounds how long a stopping server waits for in-flight
+// requests.
+const drainTimeout = 5 * time.Second
+
+// endOnStop cancels a /repl/delta request's context when stopping is
+// done, so a held pull is answered at once.
+func endOnStop(stopping context.Context, h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/repl/delta" {
+			ctx, cancel := context.WithCancel(r.Context())
+			defer cancel()
+			defer context.AfterFunc(stopping, cancel)()
+			r = r.WithContext(ctx)
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// closeStore closes the archive, writing its snapshots and manifest, and
+// exits non-zero if that fails.
+func closeStore(store *archive.Store) {
+	if err := store.Close(); err != nil {
+		fmt.Fprintf(os.Stderr, "enviromic-archive: close: %v\n", err)
 		os.Exit(1)
 	}
 }

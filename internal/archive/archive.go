@@ -874,6 +874,7 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.closeMu.Unlock()
+	s.env.signalChange()
 
 	s.stopWriters()
 	var firstErr error
@@ -921,6 +922,7 @@ func (s *Store) crashClose() {
 	}
 	s.closed = true
 	s.closeMu.Unlock()
+	s.env.signalChange()
 	s.stopWriters()
 	for _, sh := range s.shards {
 		sh.mu.Lock()

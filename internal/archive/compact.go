@@ -217,6 +217,7 @@ func (sh *shard) compact() (kept int, reclaimed int64, err error) {
 		ref.fm.chunks[ref.idx].offset = newOffsets[i]
 	}
 	sh.mu.Unlock()
+	sh.env.signalChange()
 	old.Close()
 
 	sh.lastCheckpoint = 0

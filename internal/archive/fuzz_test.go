@@ -8,10 +8,15 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"enviromic/internal/flash"
+	"enviromic/internal/sim"
 )
 
 // referenceDecodeFrames is the streaming, copying decoder POST /ingest ran
@@ -175,6 +180,122 @@ func FuzzDecodeManifest(f *testing.F) {
 		again, err := DecodeManifest(enc)
 		if err != nil || !reflect.DeepEqual(again, ms) {
 			t.Fatalf("Decode(Encode(x)) != x: %v", err)
+		}
+	})
+}
+
+// FuzzSnapshotLoad hands Open a mutated shard snapshot next to the
+// segment it was written over. Open must either load it and list exactly
+// what a rescan of the segment lists — files, gaps, queries, every
+// payload byte — or discard it and rescan; it must never fail, panic,
+// drop segment bytes or serve a different listing.
+func FuzzSnapshotLoad(f *testing.F) {
+	// A small store that has compacted once (generation 1) and grown
+	// since, closed cleanly so its snapshot covers the whole segment.
+	tmpl := f.TempDir()
+	s, err := Open(tmpl, Options{Shards: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, batch := range [][]*flash.Chunk{
+		seedChunks(4, 6),
+		{mkChunkN(1, 2, 0, 0, 1, 48)}, // supersedes a copy, for compaction to drop
+		nil,
+		{mkChunkN(2, 3, 1, 1, 2, 60), mkChunkN(9, 1, 0, 30, 31, 12)},
+	} {
+		if batch == nil {
+			_, err = s.Compact()
+		} else {
+			_, err = s.Ingest(batch)
+		}
+		if err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, name := range []string{manifestName, "shard-000.seg", "shard-000.idx"} {
+		data, err := os.ReadFile(filepath.Join(tmpl, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		files[name] = data
+	}
+	valid := files["shard-000.idx"]
+	if gen := binary.BigEndian.Uint64(valid[8:]); gen != 1 {
+		f.Fatalf("template snapshot is generation %d, want 1", gen)
+	}
+
+	// open lays the template out with idx as its snapshot (none when nil)
+	// and opens it.
+	open := func(t testing.TB, idx []byte, opts Options) *Store {
+		dir := t.TempDir()
+		for name, data := range files {
+			if name == "shard-000.idx" {
+				if idx == nil {
+					continue
+				}
+				data = idx
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s, err := Open(dir, opts)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		return s
+	}
+	// listing is everything a reader of s can see.
+	listing := func(t *testing.T, s *Store) string {
+		out := storeFingerprint(t, s)
+		sec := func(v float64) sim.Time { return sim.Time(v * float64(time.Second)) }
+		for _, q := range []struct {
+			from, to float64
+			origins  map[int32]bool
+		}{{0, 0, nil}, {2, 4, nil}, {0, 100, map[int32]bool{2: true, 3: true}}, {30, 31, nil}} {
+			out += fmt.Sprintf("query %v: %+v\n", q, s.Query(sec(q.from), sec(q.to), q.origins))
+		}
+		return out
+	}
+	var (
+		want      string
+		rescanned sync.Once
+	)
+
+	edit := func(off int, v uint64) []byte {
+		b := bytes.Clone(valid)
+		binary.BigEndian.PutUint64(b[off:], v)
+		return b
+	}
+	covered := binary.BigEndian.Uint64(valid[16:])
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])                            // torn
+	f.Add(valid[:snapshotHeaderSize-1])                    // torn header
+	f.Add(edit(8, 0))                                      // stale generation
+	f.Add(edit(16, uint64(len(files["shard-000.seg"]))+1)) // covered offset past the end
+	f.Add(edit(16, covered-frameHeaderSize))               // covered offset inside a frame
+	f.Fuzz(func(t *testing.T, idx []byte) {
+		rescanned.Do(func() {
+			rescan := open(t, nil, Options{NoSnapshots: true})
+			want = listing(t, rescan)
+			rescan.Close()
+		})
+		s := open(t, idx, Options{})
+		defer s.crashClose() // no snapshot rewrite, no fsync: exec speed
+		st := s.Stats()
+		loads, fallbacks := st.Counters["open.snapshot_loads"], st.Counters["open.snapshot_fallbacks"]
+		if loads+fallbacks != 1 {
+			t.Fatalf("snapshot loaded %d times, discarded %d", loads, fallbacks)
+		}
+		if st.RecoveredBytes != 0 {
+			t.Fatalf("open dropped %d segment bytes (snapshot loaded: %v)", st.RecoveredBytes, loads == 1)
+		}
+		if got := listing(t, s); got != want {
+			t.Fatalf("listing differs from a rescan (snapshot loaded: %v):\n%s\nwant\n%s", loads == 1, got, want)
 		}
 	})
 }

@@ -57,7 +57,9 @@ type Source interface {
 //	POST /compact                     reclaim superseded segment bytes
 //	GET  /stats                       store totals, cache, op counters
 //	GET  /repl/status                 per-shard generation + size (replication source state)
-//	GET  /repl/delta?cursor=&max=     next replication batch (segment frames)
+//	GET  /repl/delta?cursor=&max=&wait=
+//	                                  next replication batch (segment frames); with wait, an
+//	                                  empty batch is held until the store changes, at most wait
 //	GET  /repl/manifest               every file's chunk keys (EncodeManifest), ETag = Store.ManifestTag;
 //	                                  If-None-Match with the current tag answers an empty 304
 //	GET  /repl/file/{id}              one file's chunks in wire framing
@@ -533,6 +535,14 @@ func (h *handler) replStatus(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, h.store.ReplStatus())
 }
 
+// MaxReplWait bounds /repl/delta's wait parameter.
+const MaxReplWait = time.Minute
+
+// replDelta answers a puller. With wait, a puller that is caught up is
+// held until the store changes, wait runs out or the request ends, and
+// then answered exactly as it would have been then; the change channel
+// is taken before the first read, so a commit between the read and the
+// hold still wakes it.
 func (h *handler) replDelta(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	cur, err := ParseReplCursor(q.Get("cursor"))
@@ -549,7 +559,30 @@ func (h *handler) replDelta(w http.ResponseWriter, r *http.Request) {
 		}
 		maxBytes = v
 	}
+	var wait time.Duration
+	if s := q.Get("wait"); s != "" {
+		d, err := time.ParseDuration(s)
+		if err != nil || d < 0 || d > MaxReplWait {
+			httpError(w, http.StatusBadRequest, "bad wait %q (want a duration in [0, %v])", s, MaxReplWait)
+			return
+		}
+		wait = d
+	}
+	var changed <-chan struct{}
+	if wait > 0 {
+		changed = h.store.Changed()
+	}
 	frames, next, lag, err := h.store.Delta(cur, maxBytes)
+	if err == nil && wait > 0 && len(frames) == 0 && lag == 0 {
+		t := time.NewTimer(wait)
+		select {
+		case <-changed:
+		case <-t.C:
+		case <-r.Context().Done():
+		}
+		t.Stop()
+		frames, next, lag, err = h.store.Delta(cur, maxBytes)
+	}
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"enviromic/internal/flash"
@@ -157,6 +158,32 @@ type shardEnv struct {
 	// bumpGen asks the store to persist generation gen for shard id in
 	// the manifest (serialized store-side).
 	bumpGen func(id int, gen uint64) error
+
+	// changed is the channel Store.Changed handed out, closed and cleared
+	// by the next change; nil while nobody waits, so a commit with no
+	// waiter pays one atomic swap.
+	changed atomic.Pointer[chan struct{}]
+}
+
+// changes returns the channel the next signalChange closes.
+func (e *shardEnv) changes() <-chan struct{} {
+	for {
+		if p := e.changed.Load(); p != nil {
+			return *p
+		}
+		ch := make(chan struct{})
+		if e.changed.CompareAndSwap(nil, &ch) {
+			return ch
+		}
+	}
+}
+
+// signalChange wakes whoever waits on changes: the manifest tag moved
+// (an appending group commit, a compaction swap) or the store closed.
+func (e *shardEnv) signalChange() {
+	if p := e.changed.Swap(nil); p != nil {
+		close(*p)
+	}
 }
 
 // shard owns one segment file and the indexes over it. Files map to

@@ -223,6 +223,9 @@ func (sh *shard) commitGroup(group []*submission) {
 	sh.size += int64(len(buf))
 	sh.reindex(rs)
 	sh.mu.Unlock()
+	if len(buf) > 0 {
+		sh.env.signalChange() // the size, and so the manifest tag, moved
+	}
 
 	// Report: gap state after the group for the files it changed, computed
 	// lock-free (the writer is the only mutator) and remembered for the

@@ -250,6 +250,22 @@ func (s *Store) ManifestTag() string {
 	return tag
 }
 
+// Changed returns a channel closed the next time ManifestTag would move
+// — a group commit that appends, a compaction swap — or the store closes;
+// a group of duplicates only leaves it open. Take it before reading
+// whatever the wait is for, so a change between the read and the wait
+// is not missed. On a closed store it is already closed.
+func (s *Store) Changed() <-chan struct{} {
+	s.closeMu.RLock()
+	defer s.closeMu.RUnlock()
+	if s.closed {
+		ch := make(chan struct{})
+		close(ch)
+		return ch
+	}
+	return s.env.changes()
+}
+
 func (s *Store) manifest(rows bool) ([]FileManifest, string) {
 	var out []FileManifest
 	cur := make(ReplCursor, len(s.shards))

@@ -30,7 +30,7 @@ import (
 //	header (32 bytes):
 //	  u32 magic "EVIX"   u32 version
 //	  u64 generation     u64 coveredOffset
-//	  u32 payloadLen     u32 CRC-32 (IEEE) of payload
+//	  u32 payloadLen     u32 CRC-32 (IEEE) of the 28 bytes before it and the payload
 //	payload:
 //	  u64 supersededBytes
 //	  u32 fileCount
@@ -44,9 +44,15 @@ import (
 // from the chunk list the first time an ingest touches the file
 // (fileMeta.ensureSeen), so loading a million-chunk snapshot performs no
 // hash-map inserts for files that are never written again.
+//
+// The checksum covers the header too: a covered offset that is off by a
+// few bytes would otherwise pass every check, start the tail replay
+// inside a frame and have open truncate live frames as a torn tail.
+// Version 1 checksummed the payload alone; its snapshots are discarded
+// (one rescan) and rewritten as version 2 at the next checkpoint.
 const (
 	snapshotMagic      = 0x45564958 // "EVIX"
-	snapshotVersion    = 1
+	snapshotVersion    = 2
 	snapshotHeaderSize = 32
 	snapshotSuffix     = ".idx"
 )
@@ -110,8 +116,13 @@ func (sh *shard) encodeSnapshot() []byte {
 	binary.BigEndian.PutUint64(buf[8:], sh.gen)
 	binary.BigEndian.PutUint64(buf[16:], uint64(sh.size))
 	binary.BigEndian.PutUint32(buf[24:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[28:], crc32.ChecksumIEEE(payload))
+	binary.BigEndian.PutUint32(buf[28:], snapshotSum(buf))
 	return buf
+}
+
+// snapshotSum is the checksum a snapshot image carries at offset 28.
+func snapshotSum(image []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(image[:28]), crc32.IEEETable, image[snapshotHeaderSize:])
 }
 
 // writeSnapshot checkpoints the shard's indexes: encode, write to a temp
@@ -193,8 +204,8 @@ func (sh *shard) loadSnapshot(wantGen uint64, segSize int64) (int64, error) {
 	if n := binary.BigEndian.Uint32(data[24:]); int(n) != len(payload) {
 		return 0, fmt.Errorf("%w: payload is %d bytes, header says %d", errSnapshot, len(payload), n)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(data[28:]) {
-		return 0, fmt.Errorf("%w: payload CRC mismatch", errSnapshot)
+	if snapshotSum(data) != binary.BigEndian.Uint32(data[28:]) {
+		return 0, fmt.Errorf("%w: CRC mismatch", errSnapshot)
 	}
 
 	// Validated; decode. The reader helpers fail soft (ok=false) on a

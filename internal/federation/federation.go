@@ -104,10 +104,12 @@ type Config struct {
 	// stripe, counting the origin. 0 (or anything >= the station count)
 	// replicates everywhere; 1 replicates nowhere.
 	ReplicationFactor int
-	// ReplInterval is the idle delay between anti-entropy pulls once a
-	// source is caught up. Default 2s.
+	// ReplInterval is how long a caught-up anti-entropy pull asks its
+	// source to hold it waiting for new frames, and the least time
+	// between two empty pulls. Default 2s.
 	ReplInterval time.Duration
-	// ProbeInterval is the health-probe period. Default 1s.
+	// ProbeInterval is the health-probe period of a healthy peer, and
+	// the longest re-probe delay of a failed one. Default 1s.
 	ProbeInterval time.Duration
 	// FanoutTimeout bounds each per-peer fan-out request. Default 2s.
 	FanoutTimeout time.Duration
@@ -246,14 +248,15 @@ func (st *Station) Store() *archive.Store { return st.store }
 // Metrics returns the registry the station publishes into.
 func (st *Station) Metrics() *telemetry.Registry { return st.reg }
 
-// Start launches the health-probe loop and one anti-entropy puller per
-// replication source.
+// Start launches one health-probe loop per peer and one anti-entropy
+// puller per replication source.
 func (st *Station) Start() {
-	if len(st.peers) > 0 {
+	for _, p := range st.peers {
+		p := p
 		st.wg.Add(1)
 		go func() {
 			defer st.wg.Done()
-			st.probeLoop(st.ctx)
+			st.probeLoop(st.ctx, p)
 		}()
 	}
 	for _, src := range st.repl.sources {

@@ -577,7 +577,7 @@ func TestCursorPersistence(t *testing.T) {
 		t.Fatalf("persisted cursor lags by %d bytes, want 0", lag)
 	}
 	// A pull from the persisted cursor ships nothing new.
-	n, lag, err := st2.repl.pullOnce(context.Background(), st2.peers[0])
+	n, lag, err := st2.repl.pullOnce(context.Background(), st2.peers[0], 0)
 	if err != nil || n != 0 || lag != 0 {
 		t.Fatalf("pull after restart = (%d chunks, lag %d, %v), want (0, 0, nil)", n, lag, err)
 	}
@@ -622,7 +622,7 @@ func TestPullRefusesOverBudgetDelta(t *testing.T) {
 	defer st.Close()
 
 	greedy.Store(true)
-	n, _, err := st.repl.pullOnce(context.Background(), st.peers[0])
+	n, _, err := st.repl.pullOnce(context.Background(), st.peers[0], 0)
 	if err == nil || n != 0 || !strings.Contains(err.Error(), "cap") {
 		t.Fatalf("pull of an over-budget delta = (%d chunks, %v), want a refusal naming the cap", n, err)
 	}

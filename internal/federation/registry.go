@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"enviromic/internal/archive"
 	"enviromic/internal/telemetry"
@@ -34,6 +35,9 @@ type peerState struct {
 	// next conditional request carries and the rows a 304 stands for.
 	etag string
 	rows []archive.FileManifest
+	// probed is closed, and cleared, by the next successful probe: what
+	// a puller whose pull failed waits on.
+	probed chan struct{}
 }
 
 func newPeerState(p Peer, reg *telemetry.Registry) *peerState {
@@ -71,7 +75,21 @@ func (p *peerState) setHealthy(ok bool, err error) {
 	} else {
 		p.lastErr = ""
 	}
+	if ok && p.probed != nil {
+		close(p.probed)
+		p.probed = nil
+	}
 	p.mu.Unlock()
+}
+
+// nextProbe returns a channel closed by the peer's next successful probe.
+func (p *peerState) nextProbe() <-chan struct{} {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.probed == nil {
+		p.probed = make(chan struct{})
+	}
+	return p.probed
 }
 
 // probeOne probes one peer's /repl/status, updating health and the
@@ -135,12 +153,21 @@ func (st *Station) ProbeOnce(ctx context.Context) error {
 	return nil
 }
 
-func (st *Station) probeLoop(ctx context.Context) {
-	for {
-		st.ProbeOnce(ctx)
-		sleep(ctx, st.cfg.ProbeInterval)
-		if ctx.Err() != nil {
-			return
+// probeLoop probes p every ProbeInterval while it answers. Once a probe
+// fails it re-probes after 50 ms, doubling back up to ProbeInterval, so a
+// peer that comes up after this station, or comes back, is seen within
+// about as long again as it was away rather than a whole interval later.
+func (st *Station) probeLoop(ctx context.Context, p *peerState) {
+	const retryBase = 50 * time.Millisecond
+	retry := retryBase
+	for ctx.Err() == nil {
+		next := st.cfg.ProbeInterval
+		if st.probeOne(ctx, p) == nil {
+			retry = retryBase
+		} else {
+			next = min(retry, next)
+			retry = min(2*retry, st.cfg.ProbeInterval)
 		}
+		sleep(ctx, next)
 	}
 }

@@ -148,12 +148,17 @@ func (r *replicator) save() {
 
 // pullOnce pulls one delta batch from p and ingests it. Returns how
 // many chunks the batch carried and the lag still behind p after it.
-func (r *replicator) pullOnce(ctx context.Context, p *peerState) (chunks int, lag int64, err error) {
-	ctx, cancel := context.WithTimeout(ctx, pullTimeout)
+// With wait > 0, p holds an empty answer until its store changes, for at
+// most wait.
+func (r *replicator) pullOnce(ctx context.Context, p *peerState, wait time.Duration) (chunks int, lag int64, err error) {
+	ctx, cancel := context.WithTimeout(ctx, pullTimeout+wait)
 	defer cancel()
 	cur := r.cursor(p.Name)
 	u := p.URL + "/repl/delta?cursor=" + url.QueryEscape(cur.String()) +
 		"&max=" + strconv.FormatInt(r.st.cfg.MaxDeltaBytes, 10)
+	if wait > 0 {
+		u += "&wait=" + wait.String()
+	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
 		return 0, 0, err
@@ -197,30 +202,31 @@ func (r *replicator) pullOnce(ctx context.Context, p *peerState) (chunks int, la
 	return chunks, lag, nil
 }
 
-// run is the per-source anti-entropy loop: pull until caught up, sleep
-// ReplInterval, repeat; back off exponentially on errors.
+// run is the per-source anti-entropy loop. Every pull asks p to hold it
+// for up to ReplInterval while there is nothing new, so a frame that
+// lands at p is pulled one round trip later and a caught-up source costs
+// one request per interval. An empty answer that came back early — a
+// source that ignores wait, or one shutting down — is followed by the
+// rest of the interval asleep. A failed pull is retried when p next
+// answers a health probe; probeLoop re-probes a failed peer from 50 ms
+// up, so that is soon after p is back.
 func (r *replicator) run(ctx context.Context, p *peerState) {
-	const (
-		backoffBase = 250 * time.Millisecond
-		backoffMax  = 30 * time.Second
-	)
-	backoff := backoffBase
+	interval := r.st.cfg.ReplInterval
+	wait := min(interval, archive.MaxReplWait)
 	for ctx.Err() == nil {
-		_, lag, err := r.pullOnce(ctx, p)
+		start := time.Now()
+		chunks, lag, err := r.pullOnce(ctx, p, wait)
 		switch {
 		case ctx.Err() != nil:
 			return
 		case err != nil:
 			p.cPullErrs.Inc()
-			sleep(ctx, backoff)
-			if backoff *= 2; backoff > backoffMax {
-				backoff = backoffMax
+			select {
+			case <-ctx.Done():
+			case <-p.nextProbe():
 			}
-		case lag > 0:
-			backoff = backoffBase // keep draining immediately
-		default:
-			backoff = backoffBase
-			sleep(ctx, r.st.cfg.ReplInterval)
+		case chunks == 0 && lag == 0:
+			sleep(ctx, interval-time.Since(start))
 		}
 	}
 }
@@ -230,7 +236,7 @@ func (r *replicator) run(ctx context.Context, p *peerState) {
 func (st *Station) ReplicateOnce(ctx context.Context) error {
 	for _, p := range st.repl.sources {
 		for {
-			_, lag, err := st.repl.pullOnce(ctx, p)
+			_, lag, err := st.repl.pullOnce(ctx, p, 0)
 			if err != nil {
 				return err
 			}

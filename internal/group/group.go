@@ -568,14 +568,17 @@ func (m *Manager) becomeLeader() {
 
 // choosePreludeKeeper picks the member with the strongest advertised
 // signal among prelude holders (including itself) and broadcasts the
-// decision; everyone else erases their buffer.
+// decision; everyone else erases their buffer. Equal signals go to the
+// lowest node ID: a total order, so the choice never hangs on the
+// members map's iteration order, and one every node can apply from what
+// the adverts already carry.
 func (m *Manager) choosePreludeKeeper(file flash.FileID, now sim.Time) {
 	keeper, best := -1, -1.0
 	for id, mem := range m.members {
 		if !mem.hasPrelude || now.Sub(mem.lastHeard) > m.cfg.MemberTimeout {
 			continue
 		}
-		if mem.signal > best {
+		if mem.signal > best || (mem.signal == best && id < keeper) {
 			keeper, best = id, mem.signal
 		}
 	}

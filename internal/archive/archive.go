@@ -397,6 +397,15 @@ func (s *Store) registerGauges(reg *telemetry.Registry) {
 		total(func(st Stats) float64 { return float64(st.SegmentBytes) }))
 	reg.GaugeFunc("enviromic_archive_superseded_bytes", "Dead frame bytes reclaimable by compaction.",
 		total(func(st Stats) float64 { return float64(st.SupersededBytes) }))
+	reg.GaugeFunc("enviromic_archive_index_bytes",
+		"Estimated in-memory index bytes: chunk records, dedup and origin arrays, per-file overhead.",
+		func() float64 {
+			var n int64
+			for _, sh := range s.shards {
+				n += sh.indexBytes()
+			}
+			return float64(n)
+		})
 	reg.GaugeFunc("enviromic_archive_cache_bytes", "Reassembly cache payload bytes held.",
 		func() float64 { return float64(s.cache.stats().Bytes) })
 	reg.GaugeFunc("enviromic_archive_cache_hit_ratio",

@@ -2,11 +2,12 @@ package archive
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // Segment compaction: supersession (a fuller copy of a chunk arriving
@@ -79,12 +80,6 @@ func (s *Store) Compact() (CompactReport, error) {
 	return rep, firstErr
 }
 
-// liveRef locates one live chunk for the offset rewrite.
-type liveRef struct {
-	fm  *fileMeta
-	idx int // index into fm.chunks
-}
-
 // compact rewrites this shard's segment. Must run on the writer
 // goroutine. Returns live chunk count and reclaimed bytes (0,0 when the
 // segment has no dead frames).
@@ -101,16 +96,19 @@ func (sh *shard) compact() (kept int, reclaimed int64, err error) {
 	}
 
 	// Collect live frames in segment order so the rewrite is one
-	// sequential pass over the old segment.
-	var refs []liveRef
+	// sequential pass over the old segment. The pointers stay valid: only
+	// this goroutine grows a chunk list, and it is busy here.
+	live := 0
+	for _, fm := range sh.files {
+		live += len(fm.chunks)
+	}
+	refs := make([]*chunkMeta, 0, live)
 	for _, fm := range sh.files {
 		for i := range fm.chunks {
-			refs = append(refs, liveRef{fm: fm, idx: i})
+			refs = append(refs, &fm.chunks[i])
 		}
 	}
-	sort.Slice(refs, func(i, j int) bool {
-		return refs[i].fm.chunks[refs[i].idx].offset < refs[j].fm.chunks[refs[j].idx].offset
-	})
+	slices.SortFunc(refs, func(a, b *chunkMeta) int { return cmp.Compare(a.offset(), b.offset()) })
 
 	tmpPath := sh.path + compactSuffix
 	tmp, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -123,19 +121,21 @@ func (sh *shard) compact() (kept int, reclaimed int64, err error) {
 		return 0, 0, e
 	}
 
-	// Stream-copy live frames verbatim (header + payload, CRC intact).
+	// Stream-copy live frames verbatim (header + payload, CRC intact)
+	// through both buffers: a frame is peeked in the reader's buffer and
+	// copied into the writer's, so the temp file takes 256 KiB writes.
+	// (io.CopyN into an empty bufio.Writer would bypass it and issue one
+	// write per frame.)
 	if _, err := sh.f.Seek(0, io.SeekStart); err != nil {
 		return abortEarly(err)
 	}
 	br := bufio.NewReaderSize(sh.f, 256<<10)
 	bw := bufio.NewWriterSize(tmp, 256<<10)
-	newOffsets := make([]int64, len(refs))
 	var readPos, writePos int64
-	for i, ref := range refs {
-		m := ref.fm.chunks[ref.idx]
-		frameStart := m.offset - frameHeaderSize
+	for _, m := range refs {
+		frameStart := m.offset() - frameHeaderSize
 		if frameStart < readPos {
-			return abortEarly(fmt.Errorf("overlapping frames at %d", m.offset))
+			return abortEarly(fmt.Errorf("overlapping frames at %d", m.offset()))
 		}
 		if skip := frameStart - readPos; skip > 0 {
 			if _, err := br.Discard(int(skip)); err != nil {
@@ -143,13 +143,17 @@ func (sh *shard) compact() (kept int, reclaimed int64, err error) {
 			}
 			readPos = frameStart
 		}
-		n := int64(frameHeaderSize) + int64(m.length)
-		if _, err := io.CopyN(bw, br, n); err != nil {
+		n := frameHeaderSize + int(m.length())
+		frame, err := br.Peek(n)
+		if err != nil {
 			return abortEarly(err)
 		}
-		readPos += n
-		newOffsets[i] = writePos + frameHeaderSize
-		writePos += n
+		if _, err := bw.Write(frame); err != nil {
+			return abortEarly(err)
+		}
+		_, _ = br.Discard(n) // cannot fail: Peek just buffered n bytes
+		readPos += int64(n)
+		writePos += int64(n)
 	}
 	if err := bw.Flush(); err != nil {
 		return abortEarly(err)
@@ -213,8 +217,11 @@ func (sh *shard) compact() (kept int, reclaimed int64, err error) {
 		// shuffled the only safe bound is the whole new segment.
 		sh.unverifiedTo = writePos
 	}
-	for i, ref := range refs {
-		ref.fm.chunks[ref.idx].offset = newOffsets[i]
+	// The new offsets are the copy's running position, replayed.
+	var at int64
+	for _, m := range refs {
+		m.pos = packPos(at+frameHeaderSize, m.length())
+		at += frameHeaderSize + int64(m.length())
 	}
 	sh.mu.Unlock()
 	sh.env.signalChange()

@@ -278,6 +278,37 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(edit(8, 0))                                      // stale generation
 	f.Add(edit(16, uint64(len(files["shard-000.seg"]))+1)) // covered offset past the end
 	f.Add(edit(16, covered-frameHeaderSize))               // covered offset inside a frame
+
+	// CRC-clean images the loader must still refuse or normalise: the
+	// first file (ID 1) has one origin, so its chunk records start 84
+	// bytes in, and the first record's length word sits 28 bytes into it.
+	reseal := func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[24:], uint32(len(b)-snapshotHeaderSize))
+		binary.BigEndian.PutUint32(b[28:], snapshotSum(b))
+		return b
+	}
+	const firstOrigins, firstRecord = 72, 84
+	if binary.BigEndian.Uint32(valid[firstOrigins:]) != 1 {
+		f.Fatal("template's first file does not have exactly one origin")
+	}
+	recOff := binary.BigEndian.Uint64(valid[firstRecord:])
+	recLen := binary.BigEndian.Uint32(valid[firstRecord+28:])
+	f.Add(reseal(edit(firstRecord, 1<<48|recOff+frameHeaderSize))) // offset past the packed form's 48 bits
+	lenPastPacked := bytes.Clone(valid)
+	binary.BigEndian.PutUint32(lenPastPacked[firstRecord+28:], 1<<16|recLen+1) // length past its 16 bits
+	f.Add(reseal(lenPastPacked))
+	// origins gives the first file the origin list os in place of its own.
+	origins := func(os ...int32) []byte {
+		b := append([]byte(nil), valid[:firstOrigins]...)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(os)))
+		for _, o := range os {
+			b = binary.BigEndian.AppendUint32(b, uint32(o))
+		}
+		return reseal(append(b, valid[firstOrigins+8:]...))
+	}
+	own := int32(binary.BigEndian.Uint32(valid[firstOrigins+4:]))
+	f.Add(origins(own, own))   // duplicated origin
+	f.Add(origins(own, own-1)) // unsorted origins
 	f.Fuzz(func(t *testing.T, idx []byte) {
 		rescanned.Do(func() {
 			rescan := open(t, nil, Options{NoSnapshots: true})

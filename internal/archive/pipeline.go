@@ -268,7 +268,15 @@ func (sh *shard) stageFile(id flash.FileID) *stagedFile {
 	sf := &stagedFile{id: id}
 	if fm := sh.files[id]; fm != nil {
 		sf.fm = fm
-		fm.ensureSeen()
+		if fm.bySeq == nil {
+			// Built outside the lock, published under it: only this
+			// goroutine reads bySeq, but the index-bytes gauge reads its
+			// size under RLock.
+			bySeq := fm.indexTail(nil)
+			sh.mu.Lock()
+			fm.bySeq = bySeq
+			sh.mu.Unlock()
+		}
 		if !fm.gapsKnown {
 			fm.refreshGaps(sh.env.gapTolerance)
 		}
@@ -279,7 +287,7 @@ func (sh *shard) stageFile(id flash.FileID) *stagedFile {
 
 // stageChunk applies one frame's dedup/supersede decision to the overlay
 // and copies the frame out of body into buf when it survives. Mirrors
-// shard.applyChunk (the scan path) so an ingest-built index and a rebuilt
+// shard.foldScanned (the scan path) so an ingest-built index and a rebuilt
 // one agree.
 func stageChunk(sf *stagedFile, pc *perFileCounts, fr frameRef, body []byte, writeBase int64, buf []byte) []byte {
 	key := dedupKey(fr.Origin, fr.Seq)
@@ -293,7 +301,7 @@ func stageChunk(sf *stagedFile, pc *perFileCounts, fr frameRef, body []byte, wri
 	if j, ok := sf.overlaySeen[key]; ok {
 		cur, curInOverlay, overlayIdx = &sf.newChunks[j], true, j
 	} else if sf.fm != nil {
-		if i, ok := sf.fm.seen[key]; ok {
+		if i, ok := sf.fm.find(key); ok {
 			committedIdx = i
 			if r, ok := sf.replace[i]; ok {
 				cur = &r
@@ -303,15 +311,15 @@ func stageChunk(sf *stagedFile, pc *perFileCounts, fr frameRef, body []byte, wri
 		}
 	}
 
-	if cur != nil && newLen <= cur.length {
+	if cur != nil && newLen <= cur.length() {
 		pc.dups++
 		return buf // duplicate: never reaches disk
 	}
 
 	meta := chunkMeta{
-		offset: writeBase + int64(len(buf)) + frameHeaderSize,
-		start:  fr.Start, end: fr.End,
-		origin: fr.Origin, length: newLen, seq: fr.Seq,
+		start: fr.Start, end: fr.End,
+		pos:    packPos(writeBase+int64(len(buf))+frameHeaderSize, newLen),
+		origin: fr.Origin, seq: fr.Seq,
 	}
 	buf = append(buf, body[fr.lo:fr.hi]...)
 	switch {
@@ -350,26 +358,27 @@ func (sh *shard) publishFile(sf *stagedFile, rs *respan) {
 	if fm == nil {
 		first := sf.newChunks[0]
 		fm = &fileMeta{
-			id:      sf.id,
-			start:   first.start,
-			end:     first.end,
-			seen:    make(map[uint64]int32),
-			origins: make(map[int32]struct{}),
+			id:    sf.id,
+			start: first.start,
+			end:   first.end,
 		}
 		sh.files[sf.id] = fm
 	}
 	oldStart, oldEnd := fm.start, fm.end
+	// A supersession keeps its chunk's index and key: bySeq stands.
 	for i, m := range sf.replace {
 		old := fm.chunks[i]
 		fm.chunks[i] = m
 		fm.bytes += m.payloadBytes() - old.payloadBytes()
-		sh.absorbSpan(fm, m)
+		absorbSpan(fm, m)
 	}
 	for _, m := range sf.newChunks {
-		fm.seen[dedupKey(m.origin, m.seq)] = int32(len(fm.chunks))
 		fm.chunks = append(fm.chunks, m)
 		fm.bytes += m.payloadBytes()
-		sh.absorbSpan(fm, m)
+		absorbSpan(fm, m)
+	}
+	if len(sf.newChunks) > 0 {
+		fm.bySeq = fm.indexTail(fm.bySeq)
 	}
 	fm.version++
 	switch {

@@ -40,10 +40,13 @@ import (
 //	    u32 chunkCount   [u64 offset  u64 start  u64 end
 //	                      u32 origin  u32 length  u32 seq]...
 //
-// The per-file dedup map is deliberately absent: it is rebuilt lazily
+// The per-file dedup index is deliberately absent: it is rebuilt lazily
 // from the chunk list the first time an ingest touches the file
-// (fileMeta.ensureSeen), so loading a million-chunk snapshot performs no
-// hash-map inserts for files that are never written again.
+// (fileMeta.ensureBySeq), so loading a million-chunk snapshot sorts
+// nothing for files that are never written again. A file's origins must
+// be strictly increasing, and a chunk record must fit the in-memory
+// packed form (chunkMeta.pos) and lie within the covered offset; a
+// snapshot that breaks either is discarded like a corrupt one.
 //
 // The checksum covers the header too: a covered offset that is off by a
 // few bytes would otherwise pass every check, start the tail replay
@@ -91,22 +94,17 @@ func (sh *shard) encodeSnapshot() []byte {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(fm.start))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(fm.end))
 		buf = binary.BigEndian.AppendUint64(buf, uint64(fm.bytes))
-		origins := make([]int32, 0, len(fm.origins))
-		for o := range fm.origins {
-			origins = append(origins, o)
-		}
-		sort.Slice(origins, func(i, j int) bool { return origins[i] < origins[j] })
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(origins)))
-		for _, o := range origins {
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(fm.origins)))
+		for _, o := range fm.origins {
 			buf = binary.BigEndian.AppendUint32(buf, uint32(o))
 		}
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(fm.chunks)))
 		for _, m := range fm.chunks {
-			buf = binary.BigEndian.AppendUint64(buf, uint64(m.offset))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(m.offset()))
 			buf = binary.BigEndian.AppendUint64(buf, uint64(m.start))
 			buf = binary.BigEndian.AppendUint64(buf, uint64(m.end))
 			buf = binary.BigEndian.AppendUint32(buf, uint32(m.origin))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(m.length))
+			buf = binary.BigEndian.AppendUint32(buf, uint32(m.length()))
 			buf = binary.BigEndian.AppendUint32(buf, m.seq)
 		}
 	}
@@ -176,7 +174,7 @@ func (sh *shard) writeSnapshot() error {
 // loadSnapshot reads and validates the shard's snapshot and rebuilds the
 // in-memory indexes from it. wantGen is the manifest's generation for
 // this shard; segSize the segment's current size. On success the shard's
-// files/byOrigin/supersededBytes are populated and the covered offset is
+// files/supersededBytes are populated and the covered offset is
 // returned; the caller replays [covered, segSize) and rebuilds the
 // interval index. Every failure is wrapped in errSnapshot.
 func (sh *shard) loadSnapshot(wantGen uint64, segSize int64) (int64, error) {
@@ -215,7 +213,6 @@ func (sh *shard) loadSnapshot(wantGen uint64, segSize int64) (int64, error) {
 	superseded := int64(r.u64())
 	fileCount := int(r.u32())
 	files := make(map[flash.FileID]*fileMeta, fileCount)
-	byOrigin := make(map[int32]map[flash.FileID]struct{})
 	for i := 0; i < fileCount && r.ok; i++ {
 		fm := &fileMeta{
 			id:    flash.FileID(r.u32()),
@@ -224,16 +221,16 @@ func (sh *shard) loadSnapshot(wantGen uint64, segSize int64) (int64, error) {
 			bytes: int64(r.u64()),
 		}
 		originCount := int(r.u32())
-		fm.origins = make(map[int32]struct{}, originCount)
-		for j := 0; j < originCount && r.ok; j++ {
-			o := int32(r.u32())
-			fm.origins[o] = struct{}{}
-			m := byOrigin[o]
-			if m == nil {
-				m = make(map[flash.FileID]struct{})
-				byOrigin[o] = m
+		if originCount < 0 || !r.has(originCount*4) {
+			r.ok = false
+			break
+		}
+		fm.origins = make([]int32, originCount)
+		for j := range fm.origins {
+			fm.origins[j] = int32(r.u32())
+			if j > 0 && fm.origins[j] <= fm.origins[j-1] {
+				return 0, fmt.Errorf("%w: file %d origins not strictly increasing", errSnapshot, fm.id)
 			}
-			m[fm.id] = struct{}{}
 		}
 		chunkCount := int(r.u32())
 		if chunkCount < 0 || !r.has(chunkCount*36) {
@@ -248,12 +245,17 @@ func (sh *shard) loadSnapshot(wantGen uint64, segSize int64) (int64, error) {
 		r.pos += chunkCount * 36
 		for j := range fm.chunks {
 			rec := recs[j*36 : j*36+36 : j*36+36]
+			off := binary.BigEndian.Uint64(rec[0:])
+			length := binary.BigEndian.Uint32(rec[28:])
+			if off < frameHeaderSize || off > maxPosOffset || length < flash.MinRecordSize || length > flash.MaxRecordSize ||
+				off+uint64(length) > uint64(covered) {
+				return 0, fmt.Errorf("%w: file %d chunk %d at %d+%d does not fit the index", errSnapshot, fm.id, j, off, length)
+			}
 			fm.chunks[j] = chunkMeta{
-				offset: int64(binary.BigEndian.Uint64(rec[0:])),
 				start:  sim.Time(binary.BigEndian.Uint64(rec[8:])),
 				end:    sim.Time(binary.BigEndian.Uint64(rec[16:])),
+				pos:    packPos(int64(off), int32(length)),
 				origin: int32(binary.BigEndian.Uint32(rec[24:])),
-				length: int32(binary.BigEndian.Uint32(rec[28:])),
 				seq:    binary.BigEndian.Uint32(rec[32:]),
 			}
 		}
@@ -263,7 +265,6 @@ func (sh *shard) loadSnapshot(wantGen uint64, segSize int64) (int64, error) {
 		return 0, fmt.Errorf("%w: truncated or oversized payload", errSnapshot)
 	}
 	sh.files = files
-	sh.byOrigin = byOrigin
 	sh.supersededBytes = superseded
 	return covered, nil
 }

@@ -249,12 +249,12 @@ func TestSnapshotEquivalentIndexes(t *testing.T) {
 			if !reflect.DeepEqual(fa.origins, fb.origins) {
 				t.Fatalf("file %d origins differ", id)
 			}
-			// The snapshot path leaves seen nil until first ingest; after
-			// ensureSeen both must agree.
-			fa.ensureSeen()
-			fb.ensureSeen()
-			if !reflect.DeepEqual(fa.seen, fb.seen) {
-				t.Fatalf("file %d dedup maps differ", id)
+			// The snapshot path leaves bySeq nil until first ingest; after
+			// ensureBySeq both must agree.
+			fa.ensureBySeq()
+			fb.ensureBySeq()
+			if !reflect.DeepEqual(fa.bySeq, fb.bySeq) {
+				t.Fatalf("file %d dedup indexes differ", id)
 			}
 		}
 	}
